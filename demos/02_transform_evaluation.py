@@ -7,10 +7,14 @@
 
 # # Evaluating the transforms across regimes
 #
-# Three evaluation paths cover the complex plane: the exact rational value at
+# Three regimes cover the complex plane: the exact rational value at
 # $\lambda = 0$, the explicit closed form for $|\lambda| \ge \max(1, m)$, and
-# a Taylor series built from exact polynomial moments below that threshold,
-# where the closed form cancels catastrophically in floating point.
+# below that threshold, where the closed form cancels catastrophically in
+# floating point, the three-term recurrence in the degree solved by Olver's
+# boundary-value algorithm.  The recurrence also takes over above the
+# threshold wherever the closed form's part-sums cancel: near the imaginary
+# axis, and for larger m up to about |lambda| = 3m.  The path names the
+# regime, not the algorithm.
 
 import numpy as np
 
@@ -33,9 +37,9 @@ for m in range(13):
         worst = max(worst, abs(chebyshev_hat(m, lam).value - ref) / (1 + abs(ref)))
 print(f"  {worst:.3e}")
 
-# The why of the series path: evaluating the raw closed form below the
-# threshold loses digits to cancellation.  Here is the naive closed form at
-# m=12, lam=2 against the series value the library actually returns:
+# Why the closed form is not used below the threshold: it loses digits to
+# cancellation there.  Here is the naive closed form at m=12, lam=2 against
+# the recurrence value the library actually returns:
 
 from fourpoly.coeffs import legendre_coeffs
 
@@ -48,12 +52,12 @@ naive = sum(
 good = legendre_hat(12, lam).value
 ref = quad_transform("legendre", 12, lam)
 print(f"\nnaive closed form : {naive:.6e}")
-print(f"series path       : {good:.6e}")
+print(f"recurrence        : {good:.6e}")
 print(f"quadrature        : {ref:.6e}")
 print(f"naive abs error   : {abs(naive - ref):.2e}   (the terms reach ~1e9)")
 
-# A three-term recurrence in the degree ties neighbouring transforms
-# together; it holds at round-off level on the closed-form regime:
+# The Legendre case of that recurrence ties neighbouring transforms
+# together; it holds at round-off level on the closed-form regime too:
 
 m = 9
 for lam in (m + 2.0, m + 20.0):

@@ -50,9 +50,7 @@ from .transforms import (
     chebyshev_hat_via_kernel,
     exp_cos_sine_integral,
     legendre_hat,
-    moment,
     regime_threshold,
-    small_lambda_series,
     transform_hat,
     zero_lambda_value,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "chebyshev_hat",
     "legendre_hat",
     "transform_hat",
-    "small_lambda_series",
-    "moment",
     "exp_cos_sine_integral",
     "chebyshev_hat_via_kernel",
     "bessel_half",

@@ -1,24 +1,24 @@
-"""Half-order Bessel functions J_{m+1/2} via the Legendre transform tables.
+"""Half-order Bessel functions J_{m+1/2} via the Legendre transform.
 
 The Legendre transform and J_{m+1/2} differ only by the factor
-i^{-m} sqrt(2 pi / lam), so the same integer tables give an explicit,
-elementary expression for the Bessel values.  All square roots are
-principal; lam^(n-1/2) is evaluated as lam^n / sqrt(lam), which makes the
-transform <-> Bessel conversion an exact inverse pair everywhere including
-the negative real axis.
+i^{-m} sqrt(2 pi / lam), so J_{m+1/2}(lam) = i^m sqrt(lam / (2 pi)) times the
+transform, evaluated by `legendre_hat` in whichever regime lam falls.  All
+square roots are principal, which makes the transform <-> Bessel conversion
+an exact inverse pair everywhere including the negative real axis.
 """
 from __future__ import annotations
 
 import cmath
 import math
 
-from .coeffs import Family, coefficient_table
-from .transforms import _CANCEL_LIMIT, _exact_poly, legendre_hat, regime_threshold
+# Unused here, but bench/tracing.py re-binds `bessel.coefficient_table` along
+# with `transforms.transform_hat` and `helmholtz.legendre_hat` to count calls.
+from .coeffs import coefficient_table  # noqa: F401
+from .transforms import legendre_hat
 
 __all__ = ["bessel_half", "legendre_hat_via_bessel"]
 
 _I_POW = (1.0, 1j, -1.0, -1j)  # i**k for k mod 4, exact
-_I_INT = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -32,41 +32,7 @@ def bessel_half(m: int, lam: complex) -> complex:
         raise ValueError("lam must be finite")
     if lam == 0:
         return 0j
-    root = cmath.sqrt(lam)
-    if abs(lam) < regime_threshold(m):
-        # below the closed-form regime, go through the series-evaluated
-        # Legendre transform instead of the cancelling explicit sum
-        return _I_POW[m % 4] * root / _SQRT_2PI * legendre_hat(m, lam).value
-    coeffs = coefficient_table(Family.LEGENDRE, m).coeffs
-    e_plus = cmath.exp(1j * lam)
-    e_minus = cmath.exp(-1j * lam)
-    inv = 1.0 / lam
-    power = 1.0 + 0j  # lam^(-n)
-    sign = 1 if m % 2 else -1  # (-1)^(n+m) at n = 1
-    part_plus = 0j
-    part_minus = 0j
-    magnitude = 0.0
-    for n in range(1, m + 2):
-        power *= inv
-        term = float(coeffs[n - 1]) * _I_POW[(m - n) % 4] * power
-        part_plus += term
-        part_minus += sign * term
-        magnitude += abs(term.real) + abs(term.imag)
-        sign = -sign
-    value = e_plus * part_plus + e_minus * part_minus
-    if (abs(e_plus) + abs(e_minus)) * magnitude > _CANCEL_LIMIT * abs(value):
-        # heavy cancellation of the alternating sums: redo them exactly
-        plus_coeffs = []
-        minus_coeffs = []
-        sign = 1 if m % 2 else -1
-        for n in range(1, m + 2):
-            r, i = _I_INT[(m - n) % 4]
-            c = coeffs[n - 1]
-            plus_coeffs.append((c * r, c * i))
-            minus_coeffs.append((sign * c * r, sign * c * i))
-            sign = -sign
-        value = e_plus * _exact_poly(plus_coeffs, inv) + e_minus * _exact_poly(minus_coeffs, inv)
-    return value * root / _SQRT_2PI
+    return _I_POW[m % 4] * cmath.sqrt(lam) / _SQRT_2PI * legendre_hat(m, lam).value
 
 
 def legendre_hat_via_bessel(m: int, lam: complex) -> complex:

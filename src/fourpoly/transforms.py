@@ -6,12 +6,30 @@ for complex lam, with three regimes:
 
 * lam == 0: exact rational value,
 * |lam| >= max(1, m): the explicit closed form over the integer tables,
-* otherwise: a Taylor series in lam built from exact polynomial moments.
+* otherwise: the three-term recurrence in the degree, solved as a
+  boundary-value problem.
 
 The closed form is an alternating sum whose largest term grows like
-(2m-1)!!/|lam|^(m+1); below |lam| ~ m it cancels catastrophically in doubles,
-which is why the series fallback exists.  The ascending-evaluation rule for
-spherical Bessel functions motivates the max(1, m) switch.
+(2m-1)!!/|lam|^(m+1); below |lam| ~ m it cancels catastrophically in doubles.
+Above the threshold its two part-sums can still cancel (near the imaginary
+axis, and for larger m up to |lam| ~ 3m); where they do, the recurrence takes
+over.  The closed form stays the first choice above the threshold because
+its cost does not grow with |lam|.
+
+The recurrence comes from integrating by parts the derivative identities
+(2k+1) P_k = P'_{k+1} - P'_{k-1} and 2 T_k = T'_{k+1}/(k+1) - T'_{k-1}/(k-1).
+For F_k, the transform of the degree-k polynomial, this gives for k >= 1
+
+    a_k F_k - i lam (alpha_k F_{k+1} - beta_k F_{k-1}) = (alpha_k - beta_k) B_{k+1},
+    B_j = e^{-i lam} - (-1)^j e^{i lam},   F_0 = 2 sin(lam) / lam,
+
+with a = 2k+1, alpha = beta = 1 for Legendre and a = 2, alpha = 1/(k+1),
+beta = 1/(k-1) (beta_1 = 0) for Chebyshev.  Once k > |lam| the other
+solutions grow factorially and F_k does not, so it is computed by Olver's
+algorithm
+(F. W. J. Olver, J. Res. NBS 71B, 1967): forward elimination from F_0, then
+back substitution from a truncation point chosen by the algorithm's own
+error estimate.
 
 Also provided is the auxiliary kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw
 in closed form, which yields a second, independent route to the Chebyshev
@@ -24,6 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeffs import Family, as_family, binom_clamped, coefficient_table
 
@@ -35,18 +54,18 @@ __all__ = [
     "chebyshev_hat",
     "legendre_hat",
     "transform_hat",
-    "small_lambda_series",
-    "moment",
     "exp_cos_sine_integral",
     "chebyshev_hat_via_kernel",
 ]
 
-_SERIES_RTOL = 1e-17
-_SERIES_KMAX = 1000
-
 
 class EvalPath(str, Enum):
-    """Which evaluation regime produced a transform value."""
+    """Which regime of |lam| a transform value lies in.
+
+    The strings name the regime, not the algorithm: below the threshold the
+    value comes from the degree recurrence, and above it from the closed form
+    unless that cancels, in which case the recurrence is used as well.
+    """
 
     CLOSED_FORM = "ClosedForm"
     ZERO_LAMBDA = "ZeroLambda"
@@ -81,43 +100,25 @@ def zero_lambda_value(family: Family | str, m: int) -> Fraction:
 # closed form
 # ---------------------------------------------------------------------------
 
-_I_POW = (1.0, 1j, -1.0, -1j)  # i**k for k mod 4
-
-# Trigger for the exact-summation rescue below: once the float estimate of
-# sum |term| exceeds this multiple of the result, the alternating sums have
-# cancelled too far for plain double accumulation.
+# Once sum |term| exceeds this multiple of |e^{i lam} P| + |e^{-i lam} Q|,
+# the part-sums P and Q have cancelled too far for double accumulation.
 _CANCEL_LIMIT = 256.0
 
 
-def _exact_poly(coeffs, w: complex) -> complex:
-    """sum_{n>=1} c_n w^n in exact rational arithmetic, rounded once.
+def _closed_form(coeffs: tuple[int, ...], m: int, lam: complex) -> tuple[complex, float]:
+    """Closed-form value and the cancellation ratio of its part-sums.
 
-    `coeffs` holds Gaussian integers as (re, im) pairs; w is a float complex
-    (hence an exact rational).  Used when the alternating sum cancels so
-    heavily that double accumulation would lose most digits; exact Horner
-    makes the result correctly rounded for the given w.
+    For real lam, w = 1/(i lam) is purely imaginary and every product keeps
+    its zero component exactly, so parity, conjugation and realness hold
+    exactly.
     """
-    w_re = Fraction(w.real)
-    w_im = Fraction(w.imag)
-    acc_re = Fraction(0)
-    acc_im = Fraction(0)
-    for c_re, c_im in reversed(coeffs):
-        acc_re, acc_im = (
-            acc_re * w_re - acc_im * w_im + c_re,
-            acc_re * w_im + acc_im * w_re + c_im,
-        )
-    acc_re, acc_im = acc_re * w_re - acc_im * w_im, acc_re * w_im + acc_im * w_re
-    return complex(float(acc_re), float(acc_im))
-
-
-def _closed_form_complex(coeffs: tuple[int, ...], m: int, lam: complex) -> complex:
     e_plus = cmath.exp(1j * lam)
     e_minus = cmath.exp(-1j * lam)
     w = 1.0 / (1j * lam)
     power = 1.0 + 0j
     sign = 1 if m % 2 else -1  # (-1)^(n+m) starting at n = 1
-    part_plus = 0j  # sum c_n w^n, multiplies e^{i lam}
-    part_minus = 0j  # sum (-1)^(n+m) c_n w^n, multiplies e^{-i lam}
+    part_plus = 0j  # P = sum c_n w^n, multiplies e^{i lam}
+    part_minus = 0j  # Q = sum (-1)^(n+m) c_n w^n, multiplies e^{-i lam}
     magnitude = 0.0
     for n in range(1, m + 2):
         power *= w
@@ -129,152 +130,81 @@ def _closed_form_complex(coeffs: tuple[int, ...], m: int, lam: complex) -> compl
         part_minus += sign * term
         magnitude += abs(term.real) + abs(term.imag)
         sign = -sign
-    value = e_plus * part_plus + e_minus * part_minus
-    # near the imaginary axis just above the regime threshold the alternating
-    # sums cancel by many orders; redo them exactly when that happens
+    plus = e_plus * part_plus
+    minus = e_minus * part_minus
+    kept = abs(plus) + abs(minus)
     scale = (abs(e_plus) + abs(e_minus)) * magnitude
-    if scale > _CANCEL_LIMIT * abs(value):
-        sign = 1 if m % 2 else -1
-        plus_coeffs = [(c, 0) for c in coeffs]
-        minus_coeffs = []
-        for c in coeffs:
-            minus_coeffs.append((sign * c, 0))
-            sign = -sign
-        value = e_plus * _exact_poly(plus_coeffs, w) + e_minus * _exact_poly(minus_coeffs, w)
-    return value
-
-
-def _closed_form_real(coeffs: tuple[int, ...], m: int, x: float) -> complex:
-    # For real lam, i^m * transform is real; summing that real number and
-    # rotating back by i^(-m) keeps parity/conjugation/realness exact.
-    two_cos = 2.0 * math.cos(x)
-    two_sin = 2.0 * math.sin(x)
-    inv = 1.0 / x
-    power = 1.0
-    cos_sum = 0.0  # integer polynomial in 1/x multiplying 2cos(x)
-    sin_sum = 0.0  # likewise for 2sin(x)
-    magnitude = 0.0
-    for n in range(1, m + 2):
-        power *= inv
-        if n % 16 == 0:
-            power = inv**n
-        k = (m - n) % 4
-        term = float(coeffs[n - 1]) * power
-        if (m + n) % 2 == 0:
-            # bracket is 2cos(x); i^(m-n) is +-1
-            cos_sum += term if k == 0 else -term
-        else:
-            # bracket is 2i sin(x); i^(m-n) is +-i, the product is -+1
-            sin_sum += -term if k == 1 else term
-        magnitude += abs(term)
-    total = two_cos * cos_sum + two_sin * sin_sum
-    if 2.0 * magnitude > _CANCEL_LIMIT * abs(total):
-        # both parity-class sums are integer polynomials in 1/x; re-sum them
-        # exactly (keeps the result exactly real before the final rotation)
-        cos_coeffs = []
-        sin_coeffs = []
-        for n in range(1, m + 2):
-            k = (m - n) % 4
-            c = coeffs[n - 1]
-            if (m + n) % 2 == 0:
-                cos_coeffs.append((c if k == 0 else -c, 0))
-                sin_coeffs.append((0, 0))
-            else:
-                cos_coeffs.append((0, 0))
-                sin_coeffs.append((-c if k == 1 else c, 0))
-        w = complex(inv, 0.0)
-        total = two_cos * _exact_poly(cos_coeffs, w).real + two_sin * _exact_poly(sin_coeffs, w).real
-    return total * _I_POW[(-m) % 4]
+    return plus + minus, scale / kept if kept else math.inf
 
 
 # ---------------------------------------------------------------------------
-# small-lam series from exact moments
+# degree recurrence (Olver's algorithm)
 # ---------------------------------------------------------------------------
 
-# mu_{k,m} = int_{-1}^{1} x^k p_m(x) dx, held as exact Fractions plus a float
-# image.  Plain dict writes are idempotent, so concurrent use merely repeats
-# work instead of corrupting the cache.
-_MOMENTS: dict[tuple[Family, int], tuple[list[Fraction], list[float]]] = {}
 
-
-def _moment_row_zero(family: Family, jmax: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _rows(family: Family, size: int) -> tuple[tuple[float, float, float], ...]:
+    """(alpha_k, beta_k, alpha_k - beta_k) / a_k for k < size; row 0 is unused."""
     if family is Family.LEGENDRE:
-        return [Fraction(2) if j == 0 else Fraction(0) for j in range(jmax + 1)]
-    return [zero_lambda_value(family, j) for j in range(jmax + 1)]
+        return tuple((1.0 / (2 * k + 1), 1.0 / (2 * k + 1), 0.0) for k in range(size))
+    # a_k = 2; alpha_k = 1/(k+1), beta_k = 1/(k-1), except beta_1 = 0 (T'_0 = 0)
+    head = ((0.0, 0.0, 0.0), (0.25, 0.0, 0.25))
+    return head + tuple((0.5 / (k + 1), 0.5 / (k - 1), -1.0 / (k * k - 1)) for k in range(2, size))
 
 
-def _build_moments(family: Family, m: int, kmax: int) -> tuple[list[Fraction], list[float]]:
-    # Reduce x^k p_m through the three-term recurrences
-    #   x P_j = ((j+1) P_{j+1} + j P_{j-1}) / (2j+1),   x T_j = (T_{j+1} + T_{j-1}) / 2
-    # down to k = 0, where every integral is known exactly.
-    jmax = m + kmax + 1
-    current = _moment_row_zero(family, jmax)
-    out = [current[m]]
-    legendre = family is Family.LEGENDRE
-    for k in range(1, kmax + 1):
-        top = jmax - k
-        nxt = [Fraction(0)] * (top + 1)
-        nxt[0] = current[1]
-        for j in range(1, top + 1):
-            if legendre:
-                nxt[j] = ((j + 1) * current[j + 1] + j * current[j - 1]) / (2 * j + 1)
-            elif j == 1:
-                nxt[1] = (current[2] + current[0]) / 2
-            else:
-                nxt[j] = (current[j + 1] + current[j - 1]) / 2
-        current = nxt
-        out.append(current[m])
-    return out, [float(v) for v in out]
+def _recurrence(family: Family, m: int, lam: complex) -> complex:
+    """F_m from the degree recurrence in the module docstring.
 
-
-def _moments(family: Family, m: int, kmin: int) -> tuple[list[Fraction], list[float]]:
-    key = (family, m)
-    cached = _MOMENTS.get(key)
-    if cached is None or len(cached[0]) <= kmin:
-        cached = _build_moments(family, m, max(kmin + 16, m + 64))
-        _MOMENTS[key] = cached
-    return cached
-
-
-def moment(family: Family | str, m: int, k: int) -> Fraction:
-    """Exact moment int_{-1}^{1} x^k p_m(x) dx for degree m and power k >= 0."""
-    if k < 0 or m < 0:
-        raise ValueError("moment indices must be non-negative")
-    return _moments(as_family(family), m, k)[0][k]
-
-
-def small_lambda_series(family: Family | str, m: int, lam: complex) -> complex:
-    """Taylor evaluation sum_k (-i lam)^k / k! * mu_{k,m}.
-
-    Intended for 0 < |lam| < regime_threshold(m), where the closed form
-    cancels; the series itself converges for any lam.  Terms are added until
-    one falls below 1e-17 of the partial sum (checked past k = |lam|, after
-    which term magnitudes decrease).
+    Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  It stops
+    once k >= max(m, |lam|) and |h_m ... h_k|, the factor by which the
+    neglected F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the
+    min covers the Chebyshev F_{k+1}, up to 1/|lam| times F_m for small lam.
+    Back substitution from F_{k+1} = 0 then yields F_m.
     """
-    fam = as_family(family)
-    lam = complex(lam)
-    _, floats = _moments(fam, m, m + 16)
-    factor = 1.0 + 0j  # (-i lam)^k / k!
-    step = -1j * lam
+    sine = cmath.sin(lam)
+    f = 2.0 * sine / lam  # F_0
+    if m == 0:
+        return f
+    z = 1j * lam
+    drive = (2.0 * cmath.cos(lam), -2j * sine)  # B_{k+1} for k even, odd
     alam = abs(lam)
-    total = 0j
-    k = 0
-    while True:
-        if k >= len(floats):
-            _, floats = _moments(fam, m, 2 * len(floats))
-        mu = floats[k]
-        if mu != 0.0:
-            term = factor * mu
-            total += term
-            if k >= alam and total != 0 and abs(term) <= _SERIES_RTOL * abs(total):
-                return total
-        factor *= step / (k + 1)
-        if factor == 0:
-            # powers underflowed; every remaining term is a true double zero
-            return total
-        k += 1
-        if k > _SERIES_KMAX:
-            raise RuntimeError("moment series failed to converge")
+    tol = 1e-17 * min(1.0, alam)
+    size = 2 * math.ceil(max(m, alam)) + 64
+    rows = _rows(family, 1 << (size - 1).bit_length())
+    g, h = f, 0j
+    gs, hs = [], []
+    reach = 1.0
+    for k in range(1, size):
+        alpha, beta, diff = rows[k]
+        z_beta = z * beta
+        pivot = 1.0 + z_beta * h
+        # an exact zero pivot is a zero of the truncated determinant; a
+        # round-off-sized one gives the limit the next row needs
+        pivot = pivot if pivot else 1e-16
+        h = z * alpha / pivot
+        g = (diff * drive[k & 1] - z_beta * g) / pivot
+        if k >= m:
+            gs.append(g)
+            hs.append(h)
+            reach *= abs(h)
+            if k >= alam and reach <= tol:
+                break
+    else:
+        raise RuntimeError("degree recurrence failed to converge")
+    top = len(gs) - 1
+    f1 = f2 = 0j  # F_{k+1}, F_{k+2}
+    for j in range(top, -1, -1):
+        h = hs[j]
+        if abs(h) > 1.0 and j < top:
+            # a small pivot made g and h large, and g + h F_{k+1} would
+            # cancel; take F_k from row k + 1 instead
+            k = m + j + 1
+            alpha, beta, diff = rows[k]
+            f = (diff * drive[k & 1] - f1 + z * alpha * f2) / (z * beta)
+        else:
+            f = gs[j] + h * f1
+        f1, f2 = f, f1
+    return f1
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +223,11 @@ def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult
     if lam == 0:
         return TransformResult(complex(float(zero_lambda_value(fam, m))), EvalPath.ZERO_LAMBDA, m, fam)
     if abs(lam) >= regime_threshold(m):
-        coeffs = coefficient_table(fam, m).coeffs
-        if lam.imag == 0.0:
-            value = _closed_form_real(coeffs, m, lam.real)
-        else:
-            value = _closed_form_complex(coeffs, m, lam)
+        value, cancellation = _closed_form(coefficient_table(fam, m).coeffs, m, lam)
+        if cancellation > _CANCEL_LIMIT:
+            value = _recurrence(fam, m, lam)
         return TransformResult(value, EvalPath.CLOSED_FORM, m, fam)
-    return TransformResult(small_lambda_series(fam, m, lam), EvalPath.SMALL_LAMBDA_SERIES, m, fam)
+    return TransformResult(_recurrence(fam, m, lam), EvalPath.SMALL_LAMBDA_SERIES, m, fam)
 
 
 def chebyshev_hat(m: int, lam: complex) -> TransformResult:
@@ -315,6 +243,21 @@ def legendre_hat(m: int, lam: complex) -> TransformResult:
 # ---------------------------------------------------------------------------
 # auxiliary kernel and the integration-by-parts route
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _kernel_weights(m: int) -> tuple[float, ...]:
+    """Integer weights of the kernel correction terms n = 1..m-1, as floats."""
+    weights = []
+    for n in range(1, m):
+        weight = 0
+        for k in range(1, m - n + 1):
+            prod = 1
+            for j in range(k, n + k):
+                prod *= m - j
+            weight += binom_clamped(n + k - 1, k - 1) * prod
+        weights.append(float(weight))
+    return tuple(weights)
 
 
 def exp_cos_sine_integral(m: int, z: complex) -> complex:
@@ -337,16 +280,10 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
     factor = 1.0 / z  # accumulates (1/z) * (2/z)^n
     two_over_z = 2.0 / z
     sign_n = 1.0
-    for n in range(1, m):
+    for weight in _kernel_weights(m):
         factor *= two_over_z
         sign_n = -sign_n
-        weight = 0
-        for k in range(1, m - n + 1):
-            prod = 1
-            for j in range(k, n + k):
-                prod *= m - j
-            weight += binom_clamped(n + k - 1, k - 1) * prod
-        total += factor * (sign_n * e_plus + sign_m * e_minus) * float(weight)
+        total += factor * (sign_n * e_plus + sign_m * e_minus) * weight
     return total
 
 

@@ -33,7 +33,7 @@ def _line(number: int, ok: bool, detail: str) -> None:
 
 
 def _grid(m: int) -> list[complex]:
-    reals = [0.5, 1.0, 2.0, float(m + 1), float(m + 5)]
+    reals = [0.5, 1.0, 2.0, float(m + 1), float(m + 5), m - 0.5, m / 2]
     grid = [complex(v) for v in reals] + [complex(-v) for v in reals]
     grid += [1j, -1j, 2j, 1 + 1j, 3 - 2j, complex(1e-3), 1e-6 * (1 + 1j)]
     return grid

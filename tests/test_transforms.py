@@ -12,12 +12,10 @@ from fourpoly.transforms import (
     chebyshev_hat_via_kernel,
     exp_cos_sine_integral,
     legendre_hat,
-    moment,
     regime_threshold,
-    small_lambda_series,
     transform_hat,
     zero_lambda_value,
-    _closed_form_complex,
+    _closed_form,
 )
 from fourpoly.coeffs import coefficient_table
 
@@ -95,18 +93,18 @@ def test_specific_values():
 
 
 # ---------------------------------------------------------------------------
-# small-lam series
+# small-lam regime
 # ---------------------------------------------------------------------------
 
 
 def test_series_examples_against_oracle():
-    val = small_lambda_series("legendre", 2, 1e-3)
+    val = transform_hat("legendre", 2, 1e-3).value
     lead = -((1e-3) ** 2) * (4.0 / 15.0) / 2.0
     # leading term approximates to O(lam^2) relative; the oracle pins the value
     assert abs(val - lead) <= 1e-5 * abs(lead)
     assert abs(val - quad_transform("legendre", 2, 1e-3)) <= 1e-12
-    assert abs(small_lambda_series("chebyshev", 1, 1e-4) - quad_transform("chebyshev", 1, 1e-4)) <= 1e-12
-    near = small_lambda_series("legendre", 0, 1e-8)
+    assert abs(transform_hat("chebyshev", 1, 1e-4).value - quad_transform("chebyshev", 1, 1e-4)) <= 1e-12
+    near = transform_hat("legendre", 0, 1e-8).value
     assert abs(near - 2.0) <= 1e-15
 
 
@@ -114,23 +112,77 @@ def test_series_examples_against_oracle():
 def test_series_limit_matches_zero_value(family):
     for m in range(21):
         tiny = 1e-13 * (1 + 1j) / abs(1 + 1j)
-        series_value = small_lambda_series(family, m, tiny)
+        series_value = transform_hat(family, m, tiny).value
         assert abs(series_value - float(zero_lambda_value(family, m))) <= 1e-12
 
 
-def test_moments_are_exact():
-    assert moment("legendre", 2, 2) == Fraction(4, 15)
-    assert moment("legendre", 1, 1) == Fraction(2, 3)
-    assert moment("legendre", 3, 3) == Fraction(4, 35)
-    assert moment("legendre", 4, 2) == 0
-    assert moment("chebyshev", 2, 0) == Fraction(-2, 3)
-    assert moment("chebyshev", 0, 0) == 2
-    # parity: moments vanish when k+m is odd
-    for m in range(6):
-        for k in range(8):
-            if (k + m) % 2 == 1:
-                assert moment("legendre", m, k) == 0
-                assert moment("chebyshev", m, k) == 0
+# ---------------------------------------------------------------------------
+# band regression: 16 <= |lam| < m on the real axis, and just above m near
+# the imaginary axis, against the closed form summed exactly
+# ---------------------------------------------------------------------------
+
+
+def exact_closed_form(family, m, lam):
+    """Closed form over the exact integer table, summed in 60-digit mpmath.
+
+    Quadrature is no reference here: near the imaginary axis its own error
+    reaches ~3e-9.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        z = mpmath.mpc(lam.real, lam.imag)
+        e_plus, e_minus, w = mpmath.exp(1j * z), mpmath.exp(-1j * z), 1 / (1j * z)
+        total = mpmath.mpc(0)
+        for n, c in enumerate(coefficient_table(family, m).coeffs, start=1):
+            total += c * (e_plus + (-1) ** (n + m) * e_minus) * w**n
+        return complex(total)
+
+
+def band_points(m):
+    return [complex(lam) for lam in (
+        m - 0.5, -(m - 0.5), m / 2,
+        (m - 0.5) * cmath.exp(1j * math.pi / 4),
+        (m + 2) * cmath.exp(1j * (math.pi / 2 - 0.2)),
+        1j * (m + 2),
+    )]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("m", [24, 32, 40, 48, 64])
+def test_band_matches_exact_closed_form(family, m):
+    for lam in band_points(m):
+        reference = exact_closed_form(family, m, lam)
+        value = transform_hat(family, m, lam).value
+        assert abs(value - reference) <= 1e-12 * (1 + abs(reference)), (family, m, lam)
+
+
+@pytest.mark.parametrize("lam", [39.5, 30 + 5j])
+def test_chebyshev_band_anchors(lam):
+    # the two Chebyshev anchors of the benchmark, in and near the band
+    reference = exact_closed_form(Family.CHEBYSHEV, 40, complex(lam))
+    value = chebyshev_hat(40, lam).value
+    assert abs(value - reference) <= 1e-12 * (1 + abs(reference))
+
+
+def test_recurrence_survives_small_and_zero_pivots():
+    # lam = sqrt(15) makes a pivot of the Legendre elimination exactly zero;
+    # the two Chebyshev points make one ~1e-7 at k >= m, where plain back
+    # substitution would lose 1e-10
+    cases = [(Family.LEGENDRE, m, math.sqrt(15)) for m in (4, 5, 8)]
+    cases += [(Family.CHEBYSHEV, 24, 30.4326), (Family.CHEBYSHEV, 24, 34.1082)]
+    for family, m, lam in cases:
+        reference = exact_closed_form(family, m, complex(lam))
+        value = transform_hat(family, m, lam).value
+        assert abs(value - reference) <= 1e-12 * (1 + abs(reference)), (family, m, lam)
+
+
+def test_tiny_lambda_keeps_relative_accuracy():
+    # odd Chebyshev transforms are O(lam) while their even neighbours are O(1)
+    for lam, rtol in ((1e-20, 1e-14), (1e-20j, 1e-14), (1e-310, 1e-12)):  # 1e-310 is subnormal
+        expected = -2j * lam / 3  # T_1 = P_1 = x
+        for family in FAMILIES:
+            assert abs(transform_hat(family, 1, lam).value - expected) <= rtol * abs(expected)
+    assert abs(chebyshev_hat(3, 1e-20).value - 0.4e-20j) <= 1e-14 * 0.4e-20
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +269,7 @@ def test_kernel_route_examples():
     assert abs(chebyshev_hat_via_kernel(1, 1.0) - chebyshev_hat(1, 1.0).value) <= 1e-12
     lam = 0.5 - 2j
     via = chebyshev_hat_via_kernel(4, lam)
-    forced = _closed_form_complex(coefficient_table("chebyshev", 4).coeffs, 4, lam)
+    forced, _ = _closed_form(coefficient_table("chebyshev", 4).coeffs, 4, lam)
     reference = quad_transform("chebyshev", 4, lam)
     assert abs(via - forced) <= 1e-9 * abs(reference)
     assert abs(via - reference) <= 1e-9 * (1 + abs(reference))
