@@ -5,8 +5,9 @@ square.
 
 Exact integer coefficient tables live in `coeffs`; regime-aware transform
 evaluation in `transforms`; Bessel values in `bessel`; independent quadrature
-and recurrence oracles in `oracle`; the boundary-value solver in `helmholtz`;
-the command-line interface in `cli`.
+and recurrence oracles in `oracle`; the invariant-check registry shared by
+`fourpoly verify` and the acceptance suite in `checks`; the boundary-value
+solver in `helmholtz`; the command-line interface in `cli`.
 """
 from .bessel import bessel_half, legendre_hat_via_bessel
 from .coeffs import (

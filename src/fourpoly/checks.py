@@ -1,0 +1,193 @@
+"""Invariant checks of the transform, Bessel and oracle modules.
+
+`CHECKS` maps each check name to a generator of ``(residual, location)``
+pairs over the degrees ``m <= max_m``; `run_check` keeps the worst pair.  A
+NaN residual counts as infinite, so it fails every tolerance.  Exactness
+checks yield 1.0 for any inexact value.  `fourpoly verify` prints
+`run_checks`, and the acceptance suite asserts on `run_check` at its pinned
+tolerances, so both run the same code over the same grids.
+
+Calls go through module attributes (``transforms.transform_hat``, ...) so
+that a tracer or a test can re-bind them.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import bessel, oracle, transforms
+from .coeffs import Family
+
+__all__ = ["CHECKS", "CheckResult", "closed_grid", "oracle_grid", "run_check", "run_checks"]
+
+Residuals = Iterator[tuple[float, str]]
+
+
+def oracle_grid(m: int) -> list[complex]:
+    """Points across every evaluation regime, mirrored in sign, for degree m."""
+    reals = [0.5, 1.0, 2.0, float(m + 1), float(m + 5), m - 0.5, m / 2]
+    grid = [complex(v) for v in reals] + [complex(-v) for v in reals]
+    grid += [1j, -1j, 2j, 1 + 1j, 3 - 2j, complex(1e-3), 1e-6 * (1 + 1j)]
+    return grid
+
+
+def closed_grid(m: int) -> list[complex]:
+    """Points above the closed-form threshold of degree m, at four phases."""
+    phases = [1.0, -1.0, 1j, (1 + 1j) / abs(1 + 1j)]
+    return [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    worst: float
+    where: str
+
+    def passed(self, tol: float) -> bool:
+        return self.worst <= tol
+
+
+def _relative(a: complex, b: complex) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _zero_lambda_values(max_m: int) -> Residuals:
+    for fam in Family:
+        for m in range(max_m + 1):
+            expected = complex(float(transforms.zero_lambda_value(fam, m)))
+            got = transforms.transform_hat(fam, m, 0.0).value
+            yield float(got != expected), f"({fam.value}, m={m}, lam=0)"
+
+
+def _oracle_agreement(max_m: int) -> Residuals:
+    for fam in Family:
+        for m in range(max_m + 1):
+            for lam in oracle_grid(m):
+                ref = oracle.quad_transform(fam, m, lam)
+                got = transforms.transform_hat(fam, m, lam).value
+                yield abs(got - ref) / (1.0 + abs(ref)), f"({fam.value}, m={m}, lam={lam})"
+
+
+def _parity(max_m: int) -> Residuals:
+    for fam in Family:
+        for m in range(max_m + 1):
+            for lam in oracle_grid(m):
+                plus = transforms.transform_hat(fam, m, lam).value
+                minus = transforms.transform_hat(fam, m, -lam).value
+                yield _relative(minus, (-1) ** m * plus), f"({fam.value}, m={m}, lam={lam})"
+
+
+def _conjugation(max_m: int) -> Residuals:
+    for fam in Family:
+        for m in range(max_m + 1):
+            for lam in oracle_grid(m):
+                if lam.imag == 0.0:
+                    plus = transforms.transform_hat(fam, m, lam).value
+                    minus = transforms.transform_hat(fam, m, -lam).value
+                    yield _relative(plus.conjugate(), minus), f"({fam.value}, m={m}, lam={lam})"
+
+
+def _realness(max_m: int) -> Residuals:
+    rot = (1.0, 1j, -1.0, -1j)
+    for m in range(max_m + 1):
+        for lam in oracle_grid(m):
+            if lam.imag == 0.0 and lam.real > 0.0:
+                value = transforms.legendre_hat(m, lam).value * rot[m % 4]
+                yield abs(value.imag) / max(abs(value), 1e-300), f"(legendre, m={m}, lam={lam})"
+
+
+def _legendre_recurrence(max_m: int) -> Residuals:
+    for m in range(1, max_m + 1):
+        for lam in closed_grid(m + 1):
+            up = transforms.legendre_hat(m + 1, lam).value
+            mid = transforms.legendre_hat(m, lam).value
+            down = transforms.legendre_hat(m - 1, lam).value
+            resid = up + (1j / lam) * (2 * m + 1) * mid - down
+            denom = max(abs(up), abs((2 * m + 1) * mid / abs(lam)), abs(down), 1e-300)
+            yield abs(resid) / denom, f"(m={m}, lam={lam})"
+
+
+def _kernel_recurrence(max_m: int) -> Residuals:
+    for m in range(1, max_m + 1):
+        for z in closed_grid(m + 1):
+            up = transforms.exp_cos_sine_integral(m + 1, z)
+            mid = transforms.exp_cos_sine_integral(m, z)
+            down = transforms.exp_cos_sine_integral(m - 1, z)
+            drive = (2.0 / z) * (cmath.exp(z) + (-1) ** (m - 1) * cmath.exp(-z))
+            resid = up + (2.0 * m / z) * mid - down - drive
+            denom = max(abs(up), abs(2.0 * m / z * mid), abs(down), abs(drive), 1e-300)
+            yield abs(resid) / denom, f"(m={m}, z={z})"
+
+
+def _kernel_route(max_m: int) -> Residuals:
+    for m in range(max_m + 1):
+        for lam in closed_grid(m):
+            direct = transforms.chebyshev_hat(m, lam).value
+            yield _relative(direct, transforms.chebyshev_hat_via_kernel(m, lam)), f"(m={m}, lam={lam})"
+
+
+def _bessel_route(max_m: int) -> Residuals:
+    for m in range(max_m + 1):
+        for lam in closed_grid(m):
+            direct = transforms.legendre_hat(m, lam).value
+            yield _relative(direct, bessel.legendre_hat_via_bessel(m, lam)), f"(m={m}, lam={lam})"
+
+
+def _bessel_classical(max_m: int) -> Residuals:
+    for lam in [0.5, 1.0, 2.0, 5.0, 10.0]:
+        j0 = math.sqrt(2.0 / (math.pi * lam)) * math.sin(lam)
+        got0 = bessel.bessel_half(0, lam)
+        yield abs(got0 - j0) / max(abs(j0), 1e-300), f"(m=0, lam={lam})"
+        if max_m >= 1:
+            j1 = math.sqrt(2.0 / (math.pi * lam)) * (math.sin(lam) / lam - math.cos(lam))
+            got1 = bessel.bessel_half(1, lam)
+            yield abs(got1 - j1) / max(abs(j1), 1e-300), f"(m=1, lam={lam})"
+    for m in range(max_m + 1):
+        yield float(bessel.bessel_half(m, 0.0) != 0), f"(m={m}, lam=0)"
+
+
+def _quadrature_rule(max_m: int) -> Residuals:
+    for order in (40, 64, 128):
+        rule = oracle.gauss_legendre_rule(order)
+        yield abs(float(np.sum(rule.weights)) - 2.0), f"(order={order}, sum w)"
+        yield float(np.any(np.diff(rule.nodes) <= 0)), f"(order={order}, node ordering)"
+        for power in (2, 10, 2 * order - 1):
+            exact = 2.0 / (power + 1) if power % 2 == 0 else 0.0
+            got = float(np.sum(rule.weights * rule.nodes**power))
+            yield abs(got - exact), f"(order={order}, x^{power})"
+
+
+# The order is the order in which `fourpoly verify` prints the checks.
+CHECKS: dict[str, Callable[[int], Residuals]] = {
+    "zero_lambda_values": _zero_lambda_values,
+    "oracle_agreement": _oracle_agreement,
+    "parity": _parity,
+    "conjugation": _conjugation,
+    "realness": _realness,
+    "legendre_recurrence": _legendre_recurrence,
+    "kernel_recurrence": _kernel_recurrence,
+    "kernel_route": _kernel_route,
+    "bessel_route": _bessel_route,
+    "bessel_classical": _bessel_classical,
+    "quadrature_rule": _quadrature_rule,
+}
+
+
+def run_check(name: str, max_m: int) -> CheckResult:
+    """Worst residual of one check over m <= max_m, and where it occurred."""
+    worst, where = 0.0, "-"
+    for residual, location in CHECKS[name](max_m):
+        if math.isnan(residual):
+            residual = math.inf
+        if residual > worst:
+            worst, where = residual, location
+    return CheckResult(name, worst, where)
+
+
+def run_checks(max_m: int) -> list[CheckResult]:
+    """Every check in registry order."""
+    return [run_check(name, max_m) for name in CHECKS]

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import re
 
 import pytest
 
+from fourpoly import transforms
+from fourpoly.checks import CHECKS
 from fourpoly.cli import main
 from fourpoly.complexfmt import format_complex, parse_complex
 from fourpoly.helmholtz import REPORT_CSV_HEADER
@@ -128,6 +132,44 @@ def test_verify_trivial_at_degree_zero(capsys):
     assert code == 0
 
 
+def test_verify_prints_one_line_per_registry_check(capsys):
+    # bench/workloads.py parses this format and keys its known failure on `kernel_route`
+    code, out, _ = run(capsys, "verify", "--max-m", "3")
+    assert code == 0
+    lines = out.splitlines()
+    names = []
+    for line in lines[:-1]:
+        match = re.fullmatch(r"(PASS|FAIL) (\w+): max residual (\S+) at (.+)", line)
+        assert match, line
+        float(match.group(3))
+        names.append(match.group(2))
+    assert names == list(CHECKS)
+    assert "kernel_route" in names
+    assert lines[-1] == "verify: all checks passed (max-m=3, tol=1e-09)"
+
+
+def test_verify_fails_on_nan_residual(capsys, monkeypatch):
+    exact = transforms.transform_hat
+
+    def nan_at_one_point(family, m, lam):
+        result = exact(family, m, lam)
+        if m == 2 and lam == 1j:
+            return dataclasses.replace(result, value=complex(math.nan, 0.0))
+        return result
+
+    monkeypatch.setattr(transforms, "transform_hat", nan_at_one_point)
+    code, out, _ = run(capsys, "verify", "--max-m", "3")
+    assert code == 1
+    assert "FAIL oracle_agreement: max residual inf at" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_rejects_bad_tolerance(tol, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--max-m", "0", "--tol", tol])
+    assert excinfo.value.code == 2
+
+
 def test_solve_writes_report(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, _, _ = run(capsys, "solve", "--basis", "4", "--points", "8", "--out", str(target))
@@ -160,6 +202,12 @@ def test_study_row_count_and_determinism(capsys):
     code, out2, _ = run(capsys, "study", "--basis", "4", "--factors", "0.5,1,1.5,2")
     strip_seconds = lambda text: [l.rsplit(",", 1)[0] for l in text.strip().split("\n")]
     assert strip_seconds(out1) == strip_seconds(out2)
+
+
+def test_study_rejects_non_positive_factor(capsys):
+    code, out, err = run(capsys, "study", "--basis", "4", "--factors", "0,1")
+    assert code == 2 and out == ""
+    assert "factors must be positive" in err
 
 
 def test_missing_subcommand_is_usage_error():
