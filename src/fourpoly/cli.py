@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bessel)
 
     p = sub.add_parser("verify", help="run the invariant check suites")
-    p.add_argument("--max-m", dest="max_m", type=_nonnegative_int, default=20)
+    p.add_argument("--max-m", dest="max_m", type=_nonnegative_int, default=64)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(handler=_cmd_verify)
 

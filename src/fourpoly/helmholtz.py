@@ -225,18 +225,9 @@ class NeumannExpansion:
 
     def reconstruct(self, y):
         y = np.asarray(y, dtype=float)
-        total = np.zeros_like(y)
-        p_prev = np.ones_like(y)
-        p = y
-        for k, c in enumerate(self.coefficients):
-            if k == 0:
-                total = total + c * p_prev
-            elif k == 1:
-                total = total + c * p
-            else:
-                p_prev, p = p, ((2 * k - 1) * y * p - (k - 1) * p_prev) / k
-                total = total + c * p
-        return total
+        if len(self.coefficients) == 0:
+            return np.zeros_like(y)  # legval rejects an empty series
+        return np.polynomial.legendre.legval(y, self.coefficients)
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,27 @@ over.  The closed form stays the first choice above the threshold because
 its cost does not grow with |lam|.
 
 The recurrence comes from integrating by parts the derivative identities
-(2k+1) P_k = P'_{k+1} - P'_{k-1} and 2 T_k = T'_{k+1}/(k+1) - T'_{k-1}/(k-1).
-For F_k, the transform of the degree-k polynomial, this gives for k >= 1
+(2k+1) P_k = P'_{k+1} - P'_{k-1}, 2 T_k = T'_{k+1}/(k+1) - T'_{k-1}/(k-1)
+and 2 U_k = (U'_{k+1} - U'_{k-1})/(k+1).  For F_k, the transform of the
+degree-k polynomial p_k, this gives for k >= 1
 
-    a_k F_k - i lam (alpha_k F_{k+1} - beta_k F_{k-1}) = (alpha_k - beta_k) B_{k+1},
+    a_k F_k - i lam (alpha_k F_{k+1} - beta_k F_{k-1}) = d_k B_{k+1},
+    d_k = alpha_k p_{k+1}(1) - beta_k p_{k-1}(1),
     B_j = e^{-i lam} - (-1)^j e^{i lam},   F_0 = 2 sin(lam) / lam,
 
-with a = 2k+1, alpha = beta = 1 for Legendre and a = 2, alpha = 1/(k+1),
-beta = 1/(k-1) (beta_1 = 0) for Chebyshev.  Once k > |lam| the other
-solutions grow factorially and F_k does not, so it is computed by Olver's
-algorithm
-(F. W. J. Olver, J. Res. NBS 71B, 1967): forward elimination from F_0, then
-back substitution from a truncation point chosen by the algorithm's own
-error estimate.
+with a = 2k+1, alpha = beta = 1 for Legendre, a = 2, alpha = 1/(k+1),
+beta = 1/(k-1) (beta_1 = 0) for Chebyshev and a = 2, alpha = beta = 1/(k+1)
+for U.  Once k > |lam| the other solutions grow factorially and F_k does
+not, so it is computed by Olver's algorithm (F. W. J. Olver, J. Res. NBS
+71B, 1967): forward elimination from F_0, then back substitution from a
+truncation point chosen by the algorithm's own error estimate.
 
-Also provided is the auxiliary kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw
-in closed form, which yields a second, independent route to the Chebyshev
-transform via integration by parts; the two routes cross-validate each other.
+The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
+integration-by-parts route to the Chebyshev transform is, with x = cos w,
+the transform of U_{m-1}, the Chebyshev polynomial of the second kind, at
+lam = iz.  It runs through the same closed form, recurrence and dispatch; its
+integer table comes from the derivatives of U_k at x = 1, so the route checks
+the Chebyshev table against an independent identity.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import Family, as_family, binom_clamped, coefficient_table
+from .coeffs import Family, as_family, coefficient_table
 
 __all__ = [
     "EvalPath",
@@ -137,22 +141,39 @@ def _closed_form(coeffs: tuple[int, ...], m: int, lam: complex) -> tuple[complex
     return plus + minus, scale / kept if kept else math.inf
 
 
+_U = "U"  # table and row key of U_k; not a `Family`, so no command or check sees it
+
+
+@lru_cache(maxsize=None)
+def _u_table(k: int) -> tuple[int, ...]:
+    """Closed-form coefficients of U_k: c_n = (-1)^(k+n+1) U_k^(n-1)(1), where
+    U_k^(j)(1) = (k+1) prod_{i=1..j} ((k+1)^2 - i^2) / (2i+1), an integer."""
+    table, derivative = [], k + 1
+    for n in range(1, k + 2):
+        table.append(derivative if (k + n) % 2 else -derivative)
+        derivative = derivative * ((k + 1) ** 2 - n * n) // (2 * n + 1)
+    return tuple(table)
+
+
 # ---------------------------------------------------------------------------
 # degree recurrence (Olver's algorithm)
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _rows(family: Family, size: int) -> tuple[tuple[float, float, float], ...]:
-    """(alpha_k, beta_k, alpha_k - beta_k) / a_k for k < size; row 0 is unused."""
-    if family is Family.LEGENDRE:
+def _rows(kind: Family | str, size: int) -> tuple[tuple[float, float, float], ...]:
+    """(alpha_k, beta_k, d_k) / a_k for k < size; row 0 is unused."""
+    if kind is Family.LEGENDRE:
         return tuple((1.0 / (2 * k + 1), 1.0 / (2 * k + 1), 0.0) for k in range(size))
+    if kind == _U:
+        # a_k = 2, alpha_k = beta_k = 1/(k+1), d_k = ((k+2) - k)/(k+1)
+        return tuple((0.5 / (k + 1), 0.5 / (k + 1), 1.0 / (k + 1)) for k in range(size))
     # a_k = 2; alpha_k = 1/(k+1), beta_k = 1/(k-1), except beta_1 = 0 (T'_0 = 0)
     head = ((0.0, 0.0, 0.0), (0.25, 0.0, 0.25))
     return head + tuple((0.5 / (k + 1), 0.5 / (k - 1), -1.0 / (k * k - 1)) for k in range(2, size))
 
 
-def _recurrence(family: Family, m: int, lam: complex) -> complex:
+def _recurrence(kind: Family | str, m: int, lam: complex) -> complex:
     """F_m from the degree recurrence in the module docstring.
 
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  It stops
@@ -170,7 +191,7 @@ def _recurrence(family: Family, m: int, lam: complex) -> complex:
     alam = abs(lam)
     tol = 1e-17 * min(1.0, alam)
     size = 2 * math.ceil(max(m, alam)) + 64
-    rows = _rows(family, 1 << (size - 1).bit_length())
+    rows = _rows(kind, 1 << (size - 1).bit_length())
     g, h = f, 0j
     gs, hs = [], []
     reach = 1.0
@@ -212,6 +233,17 @@ def _recurrence(family: Family, m: int, lam: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _value(kind: Family | str, m: int, lam: complex) -> complex:
+    """F_m at lam != 0: the closed form at or above `regime_threshold(m)`
+    unless its part-sums cancel, the degree recurrence otherwise."""
+    if abs(lam) >= regime_threshold(m):
+        coeffs = _u_table(m) if kind == _U else coefficient_table(kind, m).coeffs
+        value, cancellation = _closed_form(coeffs, m, lam)
+        if cancellation <= _CANCEL_LIMIT:
+            return value
+    return _recurrence(kind, m, lam)
+
+
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:
     """Finite Fourier transform of the degree-m polynomial, regime-selected."""
     fam = as_family(family)
@@ -222,12 +254,8 @@ def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult
         raise ValueError("lam must be finite")
     if lam == 0:
         return TransformResult(complex(float(zero_lambda_value(fam, m))), EvalPath.ZERO_LAMBDA, m, fam)
-    if abs(lam) >= regime_threshold(m):
-        value, cancellation = _closed_form(coefficient_table(fam, m).coeffs, m, lam)
-        if cancellation > _CANCEL_LIMIT:
-            value = _recurrence(fam, m, lam)
-        return TransformResult(value, EvalPath.CLOSED_FORM, m, fam)
-    return TransformResult(_recurrence(fam, m, lam), EvalPath.SMALL_LAMBDA_SERIES, m, fam)
+    path = EvalPath.CLOSED_FORM if abs(lam) >= regime_threshold(m) else EvalPath.SMALL_LAMBDA_SERIES
+    return TransformResult(_value(fam, m, lam), path, m, fam)
 
 
 def chebyshev_hat(m: int, lam: complex) -> TransformResult:
@@ -245,26 +273,11 @@ def legendre_hat(m: int, lam: complex) -> TransformResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _kernel_weights(m: int) -> tuple[float, ...]:
-    """Integer weights of the kernel correction terms n = 1..m-1, as floats."""
-    weights = []
-    for n in range(1, m):
-        weight = 0
-        for k in range(1, m - n + 1):
-            prod = 1
-            for j in range(k, n + k):
-                prod *= m - j
-            weight += binom_clamped(n + k - 1, k - 1) * prod
-        weights.append(float(weight))
-    return tuple(weights)
-
-
 def exp_cos_sine_integral(m: int, z: complex) -> complex:
-    """Closed form of K(m, z) = int_0^pi e^{z cos w} sin(m w) dw, z != 0.
+    """K(m, z) = int_0^pi e^{z cos w} sin(m w) dw, z != 0.
 
-    K(0, z) = 0 and K(1, z) = (e^z - e^{-z})/z; higher degrees add a
-    polynomial-in-1/z correction with exact integer weights.
+    K(0, z) = 0; for m >= 1, K is the transform of U_{m-1} at lam = iz (see
+    the module docstring).
     """
     z = complex(z)
     if z == 0:
@@ -273,32 +286,18 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
         raise ValueError("z must be finite")
     if m < 0:
         raise ValueError("degree must be non-negative")
-    e_plus = cmath.exp(z)
-    e_minus = cmath.exp(-z)
-    sign_m = -1.0 if m % 2 else 1.0
-    total = (m / z) * (e_plus + sign_m * e_minus)
-    factor = 1.0 / z  # accumulates (1/z) * (2/z)^n
-    two_over_z = 2.0 / z
-    sign_n = 1.0
-    for weight in _kernel_weights(m):
-        factor *= two_over_z
-        sign_n = -sign_n
-        total += factor * (sign_n * e_plus + sign_m * e_minus) * weight
-    return total
+    return _value(_U, m - 1, 1j * z) if m else 0j
 
 
 def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
     """Chebyshev transform through the kernel route (integration by parts).
 
-    Independent of the coefficient tables; used to cross-check
+    Uses the U_{m-1} table, not the Chebyshev one; used to cross-check
     `chebyshev_hat` on the closed-form regime.
     """
     lam = complex(lam)
     if lam == 0:
         raise ValueError("kernel route requires lam != 0")
     sign = -1.0 if m % 2 else 1.0
-    return (
-        cmath.exp(1j * lam) * sign
-        - cmath.exp(-1j * lam)
-        + m * exp_cos_sine_integral(m, -1j * lam)
-    ) / (1j * lam)
+    kernel = exp_cos_sine_integral(m, -1j * lam)
+    return (cmath.exp(1j * lam) * sign - cmath.exp(-1j * lam) + m * kernel) / (1j * lam)

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from fourpoly import transforms
+from fourpoly import checks, transforms
 from fourpoly.checks import CHECKS
 from fourpoly.cli import main
 from fourpoly.complexfmt import format_complex, parse_complex
@@ -161,6 +161,15 @@ def test_verify_fails_on_nan_residual(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-m", "3")
     assert code == 1
     assert "FAIL oracle_agreement: max residual inf at" in out
+
+
+def test_verify_default_degree_is_64(capsys, monkeypatch):
+    degrees = []
+    monkeypatch.setattr(checks, "run_checks", lambda max_m: degrees.append(max_m) or [])
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert degrees == [64]
+    assert out == "verify: all checks passed (max-m=64, tol=1e-09)\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

@@ -1,4 +1,6 @@
 import cmath
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +71,27 @@ def test_top_legendre_entry_is_double_factorial():
         for odd in range(1, 2 * m, 2):
             dfact *= odd
         assert legendre_coeffs(m).coeffs[m] == dfact
+
+
+def derivatives_at_one(family, m):
+    """p_m^(j)(1) for j = 0..m: T_m^(j)(1) = prod_{i<j} (m^2 - i^2)/(2i+1) and
+    P_m^(j)(1) = (m+j)! / (2^j j! (m-j)!)."""
+    if family is Family.LEGENDRE:
+        f = math.factorial
+        return [Fraction(f(m + j), 2**j * f(j) * f(m - j)) for j in range(m + 1)]
+    values = [Fraction(1)]
+    for i in range(m):
+        values.append(values[-1] * Fraction(m * m - i * i, 2 * i + 1))
+    return values
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tables_are_signed_derivatives_at_one(family):
+    # integrating the transform by parts m+1 times: c_n = (-1)^(m+n+1) p_m^(n-1)(1)
+    for m in range(65):
+        table = coefficient_table(family, m).coeffs
+        for n, derivative in enumerate(derivatives_at_one(family, m), start=1):
+            assert table[n - 1] == (-1) ** (m + n + 1) * derivative, (family, m, n)
 
 
 def test_construction_is_exact_and_deterministic_up_to_64():

@@ -339,6 +339,11 @@ def test_reconstruct_matches_direct_legendre_sum():
     assert np.max(np.abs(expansion.reconstruct(y) - direct)) <= 1e-14
 
 
+def test_empty_expansion_reconstructs_to_zeros():
+    y = np.linspace(-1, 1, 5)
+    assert np.array_equal(NeumannExpansion(np.zeros(0)).reconstruct(y), np.zeros(5))
+
+
 def test_report_csv_row_format():
     _, report = solve(4, 8)
     row = report.csv_row()

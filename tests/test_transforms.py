@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fourpoly.coeffs import Family
+from fourpoly.checks import run_check
+from fourpoly.coeffs import Family, chebyshev_coeffs
 from fourpoly.oracle import quad_transform
 from fourpoly.transforms import (
     EvalPath,
@@ -16,6 +17,7 @@ from fourpoly.transforms import (
     transform_hat,
     zero_lambda_value,
     _closed_form,
+    _u_table,
 )
 from fourpoly.coeffs import coefficient_table
 
@@ -236,7 +238,7 @@ def test_legendre_three_term_recurrence(m):
 
 
 # ---------------------------------------------------------------------------
-# kernel closed form and routes
+# kernel K(m, z), the transform of U_{m-1} at lam = iz, and the kernel route
 # ---------------------------------------------------------------------------
 
 
@@ -250,6 +252,38 @@ def test_kernel_base_cases():
     assert abs(k2 - 1.4715177646857693) <= 1e-14
     with pytest.raises(ValueError):
         exp_cos_sine_integral(3, 0.0)
+    with pytest.raises(ValueError):
+        exp_cos_sine_integral(-1, 1.0)
+
+
+def quad_kernel(m, z):
+    """K(m, z) by 20-digit mpmath quadrature of its defining integral."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        zz = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.quad(lambda w: mpmath.exp(zz * mpmath.cos(w)) * mpmath.sin(m * w), [0, mpmath.pi]))
+
+
+@pytest.mark.parametrize("m", [13, 20, 32, 64])
+def test_kernel_matches_quadrature(m):
+    # off the checks' grid: small z, where the closed form cancels, and the
+    # imaginary axis and a generic phase just above |z| = m
+    for z in (1e-3, 1, 0.3 + 0.1j, 34, -34j, 46 + 46j, m + 2, (2 * m + 40) * cmath.exp(0.7j)):
+        z = complex(z)
+        reference = quad_kernel(m, z)
+        assert abs(exp_cos_sine_integral(m, z) - reference) <= 1e-13 * (1 + abs(reference)), (m, z)
+
+
+def test_kernel_checks_pass_to_degree_64():
+    assert run_check("kernel_recurrence", 64).worst <= 1e-9
+    assert run_check("kernel_route", 64).worst <= 1e-10
+
+
+def test_u_table_is_the_chebyshev_table_integrated_by_parts():
+    # T_m' = m U_{m-1}, so c_{n+1}(T_m) = m c_n(U_{m-1}), exactly in integers
+    for m in range(1, 65):
+        table, coeffs = _u_table(m - 1), chebyshev_coeffs(m).coeffs
+        assert all(table[n - 1] * m == coeffs[n] for n in range(1, m + 1)), m
 
 
 @pytest.mark.parametrize("m", range(1, 21))
