@@ -161,10 +161,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except helmholtz.DegenerateSystemError as exc:
+    except (np.linalg.LinAlgError, RuntimeError, helmholtz.DegenerateSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, OverflowError) as exc:

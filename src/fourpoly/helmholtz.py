@@ -13,7 +13,8 @@ Writing a(lam) = lam + 1/lam, the boundary integrals on the left side are
     D(lam) = int e^{a y} u(-1, y) dy,      N(lam) = int e^{a y} q(y) dy,
 
 and since e^{a y} = e^{-i mu y} with mu = i a, each Legendre basis column of
-N is a transform value from `transforms`.  Collocating the two relations
+N is a transform value from `transforms`; one degree sweep of its recurrence
+gives all N columns at a shifted point.  Collocating the two relations
 
     cos(lam - 1/lam) N(lam) + cos(i lam - 1/(i lam)) N(-+ i lam)
         = (lam - 1/lam) sin(lam - 1/lam) D(lam)
@@ -36,7 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transforms import legendre_hat
+from .coeffs import Family
+from .transforms import _recurrence, legendre_hat, zero_lambda_value
 
 __all__ = [
     "SQRT3",
@@ -103,6 +105,14 @@ def neumann_hat_column(basis_index: int, lam: complex) -> complex:
     if lam == 0:
         raise ValueError("boundary transform requires lam != 0")
     return legendre_hat(basis_index, 1j * (lam + 1.0 / lam)).value
+
+
+def _neumann_hat_columns(n_basis: int, lam: complex) -> np.ndarray:
+    """`neumann_hat_column(k, lam)` for every k < n_basis, from one degree sweep."""
+    mu = 1j * (lam + 1.0 / lam)
+    if mu == 0:  # lam = +-1, which the rotated rays reach
+        return np.array([float(zero_lambda_value(Family.LEGENDRE, k)) for k in range(n_basis)], dtype=complex)
+    return np.array(_recurrence(Family.LEGENDRE, n_basis - 1, mu, 0))
 
 
 @dataclass(frozen=True)
@@ -193,11 +203,10 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         f1 = z1 * cmath.sin(z1)
         f2 = z2 * cmath.sin(z2)
         d_lam = dirichlet(lam)
-        base = [c1 * neumann_hat_column(col, lam) for col in range(n_basis)]
+        base = c1 * _neumann_hat_columns(n_basis, lam)
         for half, rot in ((0, -1j), (1, 1j)):
             shifted = rot * lam
-            for col in range(n_basis):
-                rows[2 * r + half, col] = base[col] + c2 * neumann_hat_column(col, shifted)
+            rows[2 * r + half] = base + c2 * _neumann_hat_columns(n_basis, shifted)
             rhs[2 * r + half] = f1 * d_lam + f2 * dirichlet(shifted)
     return CollocationSystem(tuple(points), rows, rhs)
 

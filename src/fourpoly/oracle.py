@@ -80,23 +80,20 @@ def _rule(order: int) -> QuadratureRule:
     k = np.arange(1, n + 1)
     theta = math.pi * (4 * k - 1) / (4 * n + 2)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(theta)
-    for _ in range(100):
+    converged = False
+    for _ in range(101):  # up to 100 steps, then the weights at the last x
         p_prev = np.ones_like(x)
         p = x.copy()
         for j in range(1, n):
             p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
         dp = n * (x * p - p_prev) / (x * x - 1.0)
+        if converged:
+            break
         dx = p / dp
         x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
+        converged = np.max(np.abs(dx)) < 1e-15
     else:
         raise RuntimeError("node iteration failed to converge")
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(1, n):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     idx = np.argsort(x)
     nodes = x[idx]
@@ -113,10 +110,18 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     return _rule(order)
 
 
-def _integrate(family: Family, m: int, lam: complex, order: int) -> tuple[complex, float]:
+@lru_cache(maxsize=512)
+def _weighted_poly(family: Family, m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the order-point rule and weights * p_m(nodes), read-only."""
     rule = gauss_legendre_rule(order)
-    poly = _recurrence_values(m, rule.nodes, chebyshev=family is Family.CHEBYSHEV)
-    samples = rule.weights * poly * np.exp(-1j * lam * rule.nodes)
+    weighted = rule.weights * _recurrence_values(m, rule.nodes, chebyshev=family is Family.CHEBYSHEV)
+    weighted.setflags(write=False)
+    return rule.nodes, weighted
+
+
+def _integrate(family: Family, m: int, lam: complex, order: int) -> tuple[complex, float]:
+    nodes, weighted = _weighted_poly(family, m, order)
+    samples = weighted * np.exp(-1j * lam * nodes)
     return complex(np.sum(samples)), float(np.sum(np.abs(samples)))
 
 
@@ -124,20 +129,22 @@ def quad_transform(family: Family | str, m: int, lam: complex) -> complex:
     """Transform integral by quadrature, with an internal doubling check.
 
     The starting order grows with |lam| because the exponential oscillates
-    ~|lam|/pi times across the interval.  Convergence is judged against the
-    integral of |integrand|, the scale roundoff actually permits (for
-    imaginary lam the result can sit far below the integrand's peak).
-    Raises if order 4096 is still not converged to ~1e-13.
+    ~|lam|/pi times across the interval; it is the power of two at or above
+    max(40, m + |lam| + 20), so all calls share the rules 64, 128, ..., 4096.
+    Convergence is judged against the integral of |integrand|, the scale
+    roundoff actually permits (for imaginary lam the result can sit far below
+    the integrand's peak).  Raises if order 4096 is still not converged to
+    ~1e-13, before building any rule if the start order is above 2048.
     """
     fam = as_family(family)
     lam = complex(lam)
-    order = max(40, m + math.ceil(abs(lam)) + 20)
-    value, _ = _integrate(fam, m, lam, order)
-    while True:
-        order *= 2
-        if order > _MAX_QUAD_ORDER:
-            raise RuntimeError("quadrature failed to converge by order 4096")
-        refined, mass = _integrate(fam, m, lam, order)
-        if abs(refined - value) <= 1e-13 * (1.0 + abs(refined) + mass):
-            return refined
-        value = refined
+    order = 1 << (max(40, m + math.ceil(abs(lam)) + 20) - 1).bit_length()
+    if 2 * order <= _MAX_QUAD_ORDER:
+        value, _ = _integrate(fam, m, lam, order)
+        while order < _MAX_QUAD_ORDER:
+            order *= 2
+            refined, mass = _integrate(fam, m, lam, order)
+            if abs(refined - value) <= 1e-13 * (1.0 + abs(refined) + mass):
+                return refined
+            value = refined
+    raise RuntimeError("quadrature failed to converge by order 4096")

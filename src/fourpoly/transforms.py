@@ -173,19 +173,19 @@ def _rows(kind: Family | str, size: int) -> tuple[tuple[float, float, float], ..
     return head + tuple((0.5 / (k + 1), 0.5 / (k - 1), -1.0 / (k * k - 1)) for k in range(2, size))
 
 
-def _recurrence(kind: Family | str, m: int, lam: complex) -> complex:
-    """F_m from the degree recurrence in the module docstring.
+def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[complex]:
+    """F_low ... F_m (low <= m) from the degree recurrence in the module docstring.
 
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  It stops
     once k >= max(m, |lam|) and |h_m ... h_k|, the factor by which the
     neglected F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the
     min covers the Chebyshev F_{k+1}, up to 1/|lam| times F_m for small lam.
-    Back substitution from F_{k+1} = 0 then yields F_m.
+    Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
     """
     sine = cmath.sin(lam)
     f = 2.0 * sine / lam  # F_0
     if m == 0:
-        return f
+        return [f]
     z = 1j * lam
     drive = (2.0 * cmath.cos(lam), -2j * sine)  # B_{k+1} for k even, odd
     alam = abs(lam)
@@ -193,7 +193,8 @@ def _recurrence(kind: Family | str, m: int, lam: complex) -> complex:
     size = 2 * math.ceil(max(m, alam)) + 64
     rows = _rows(kind, 1 << (size - 1).bit_length())
     g, h = f, 0j
-    gs, hs = [], []
+    gs = [g] if low == 0 else []  # row 0, F_0 = f, is kept for a sweep from degree 0
+    hs = [h] if low == 0 else []
     reach = 1.0
     for k in range(1, size):
         alpha, beta, diff = rows[k]
@@ -204,12 +205,13 @@ def _recurrence(kind: Family | str, m: int, lam: complex) -> complex:
         pivot = pivot if pivot else 1e-16
         h = z * alpha / pivot
         g = (diff * drive[k & 1] - z_beta * g) / pivot
-        if k >= m:
+        if k >= low:
             gs.append(g)
             hs.append(h)
-            reach *= abs(h)
-            if k >= alam and reach <= tol:
-                break
+            if k >= m:
+                reach *= abs(h)
+                if k >= alam and reach <= tol:
+                    break
     else:
         raise RuntimeError("degree recurrence failed to converge")
     top = len(gs) - 1
@@ -219,13 +221,15 @@ def _recurrence(kind: Family | str, m: int, lam: complex) -> complex:
         if abs(h) > 1.0 and j < top:
             # a small pivot made g and h large, and g + h F_{k+1} would
             # cancel; take F_k from row k + 1 instead
-            k = m + j + 1
+            k = low + j + 1
             alpha, beta, diff = rows[k]
             f = (diff * drive[k & 1] - f1 + z * alpha * f2) / (z * beta)
         else:
             f = gs[j] + h * f1
         f1, f2 = f, f1
-    return f1
+        gs[j] = f  # F_{low+j}; g_{low+j} is not read again
+    del gs[m + 1 - low:]
+    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +239,16 @@ def _recurrence(kind: Family | str, m: int, lam: complex) -> complex:
 
 def _value(kind: Family | str, m: int, lam: complex) -> complex:
     """F_m at lam != 0: the closed form at or above `regime_threshold(m)`
-    unless its part-sums cancel, the degree recurrence otherwise."""
+    unless its part-sums cancel or overflow, the degree recurrence otherwise."""
     if abs(lam) >= regime_threshold(m):
         coeffs = _u_table(m) if kind == _U else coefficient_table(kind, m).coeffs
-        value, cancellation = _closed_form(coeffs, m, lam)
+        try:
+            value, cancellation = _closed_form(coeffs, m, lam)
+        except OverflowError:  # the recurrence raises it too if F_m overflows
+            cancellation = math.inf
         if cancellation <= _CANCEL_LIMIT:
             return value
-    return _recurrence(kind, m, lam)
+    return _recurrence(kind, m, lam, m)[0]
 
 
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:

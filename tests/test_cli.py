@@ -101,6 +101,14 @@ def test_eval_series_path_matches_oracle(capsys):
     assert abs(parse_complex(value_text) - ref) <= 1e-12
 
 
+def test_eval_at_degree_160_where_the_closed_form_overflows(capsys):
+    code, out, _ = run(capsys, "eval", "--family", "legendre", "--m", "160", "--lambda=161")
+    assert code == 0
+    value_text, path = out.strip().split()
+    assert path == "ClosedForm"
+    assert parse_complex(value_text) == transforms.legendre_hat(160, 161.0).value
+
+
 def test_eval_parse_failure(capsys):
     code, _, err = run(capsys, "eval", "--family", "legendre", "--m", "1", "--lambda", "nope")
     assert code == 2

@@ -12,6 +12,7 @@ from fourpoly.helmholtz import (
     RayRule,
     SQRT3,
     _cosh_integral,
+    _neumann_hat_columns,
     assemble_system,
     collocation_points,
     dirichlet_hat,
@@ -165,6 +166,31 @@ def test_assemble_single_point_hand_value():
     )
     assert abs(system.rhs[0] - expected_rhs) <= 1e-12 * abs(expected_rhs)
     assert abs(system.rhs[1] - expected_rhs) <= 1e-12 * abs(expected_rhs)
+
+
+@pytest.mark.parametrize("n_basis", [1, 2, 20, 64])
+@pytest.mark.parametrize("rule", [RayRule(), RayRule(angles=(0.0, 0.6, 1.2))])
+def test_assembled_rows_match_scalar_columns(n_basis, rule):
+    # the scalar column loop the sweep replaced is the reference
+    points = collocation_points(40, rule)
+    system = assemble_system(n_basis, points)
+    for r, lam in enumerate(points):
+        c1 = cmath.cos(lam - 1.0 / lam)
+        c2 = cmath.cos(1j * lam - 1.0 / (1j * lam))
+        for half, rot in ((0, -1j), (1, 1j)):
+            for col in range(n_basis):
+                own = c1 * neumann_hat_column(col, lam)
+                rotated = c2 * neumann_hat_column(col, rot * lam)
+                got = system.matrix[2 * r + half, col]
+                assert abs(got - (own + rotated)) <= 1e-12 * (1 + abs(own) + abs(rotated)), (r, half, col)
+
+
+def test_columns_at_zero_frequency_are_exact():
+    # lam = 1 puts both rotated points at mu = 0: p_0 integrates to 2, the rest to 0
+    expected = np.zeros(20, dtype=complex)
+    expected[0] = 2.0
+    for shifted in (-1j, 1j):
+        assert np.array_equal(_neumann_hat_columns(20, shifted), expected)
 
 
 def test_assemble_zero_dirichlet_data_gives_zero_rhs():

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fourpoly import oracle
+from fourpoly.checks import run_check
+from fourpoly.coeffs import Family
 from fourpoly.oracle import (
     eval_chebyshev,
     eval_legendre,
@@ -86,5 +89,21 @@ def test_quad_transform_converges_and_is_stable():
 
 
 def test_quad_transform_order_cap():
+    oracle._rule.cache_clear()
     with pytest.raises(RuntimeError):
         quad_transform("legendre", 0, 9000.0)
+    assert oracle._rule.cache_info().currsize == 0  # failed before building a rule
+
+
+def test_oracle_agreement_builds_one_rule_per_power_of_two():
+    oracle._rule.cache_clear()
+    oracle._weighted_poly.cache_clear()
+    assert run_check("oracle_agreement", 32).worst <= 1e-13
+    assert oracle._rule.cache_info().misses <= 4
+
+
+def test_cached_weighted_samples_are_read_only():
+    nodes, weighted = oracle._weighted_poly(Family.CHEBYSHEV, 5, 64)
+    for array in (nodes, weighted):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

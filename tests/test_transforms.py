@@ -1,11 +1,13 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from fourpoly.checks import run_check
 from fourpoly.coeffs import Family, chebyshev_coeffs
+from fourpoly.helmholtz import collocation_points
 from fourpoly.oracle import quad_transform
 from fourpoly.transforms import (
     EvalPath,
@@ -16,8 +18,11 @@ from fourpoly.transforms import (
     regime_threshold,
     transform_hat,
     zero_lambda_value,
+    _U,
     _closed_form,
+    _recurrence,
     _u_table,
+    _value,
 )
 from fourpoly.coeffs import coefficient_table
 
@@ -125,7 +130,8 @@ def test_series_limit_matches_zero_value(family):
 
 
 def exact_closed_form(family, m, lam):
-    """Closed form over the exact integer table, summed in 60-digit mpmath.
+    """Closed form over the exact integer table (the U_m table for `_U`),
+    summed in 60-digit mpmath.
 
     Quadrature is no reference here: near the imaginary axis its own error
     reaches ~3e-9.
@@ -135,7 +141,8 @@ def exact_closed_form(family, m, lam):
         z = mpmath.mpc(lam.real, lam.imag)
         e_plus, e_minus, w = mpmath.exp(1j * z), mpmath.exp(-1j * z), 1 / (1j * z)
         total = mpmath.mpc(0)
-        for n, c in enumerate(coefficient_table(family, m).coeffs, start=1):
+        coeffs = _u_table(m) if family == _U else coefficient_table(family, m).coeffs
+        for n, c in enumerate(coeffs, start=1):
             total += c * (e_plus + (-1) ** (n + m) * e_minus) * w**n
         return complex(total)
 
@@ -185,6 +192,50 @@ def test_tiny_lambda_keeps_relative_accuracy():
         for family in FAMILIES:
             assert abs(transform_hat(family, 1, lam).value - expected) <= rtol * abs(expected)
     assert abs(chebyshev_hat(3, 1e-20).value - 0.4e-20j) <= 1e-14 * 0.4e-20
+
+
+def test_closed_form_overflow_falls_back_to_recurrence():
+    # the closed form's top coefficients exceed the double range at m = 160
+    cases = [
+        (legendre_hat(160, 161.0).value, Family.LEGENDRE),
+        (chebyshev_hat(160, 161.0).value, Family.CHEBYSHEV),
+        (exp_cos_sine_integral(161, -161j), _U),  # U_160 at lam = 161
+    ]
+    for value, family in cases:
+        reference = exact_closed_form(family, 160, 161 + 0j)
+        assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), family
+
+
+def test_quad_transform_matches_exact_closed_form():
+    # the points where the benchmark checks quadrature against its reference
+    for family, m, lam in [("chebyshev", 5, 2.0 + 0j), ("legendre", 7, 1 + 1j),
+                           ("chebyshev", 12, -15 + 3j), ("legendre", 0, 3j)]:
+        reference = exact_closed_form(Family(family), m, lam)
+        assert abs(quad_transform(family, m, lam) - reference) <= 1e-13 * (1 + abs(reference))
+
+
+# ---------------------------------------------------------------------------
+# one degree sweep yields every degree
+# ---------------------------------------------------------------------------
+
+
+def sweep_points():
+    """mu = i(s + 1/s) at s = lam, -i lam, i lam for the solver's 40 default
+    points (mu = 0 excluded), and random complex mu with |mu| <= 100."""
+    points = [1j * (s + 1 / s) for lam in collocation_points(40) for s in (lam, -1j * lam, 1j * lam)]
+    rng = random.Random(5)
+    points += [10 ** rng.uniform(-3, 2) * cmath.exp(2j * math.pi * rng.random()) for _ in range(40)]
+    return [mu for mu in points if mu != 0]
+
+
+@pytest.mark.parametrize("kind", FAMILIES + [_U])
+def test_sweep_from_degree_zero_matches_scalar_path(kind):
+    for mu in sweep_points():
+        swept = _recurrence(kind, 63, mu, 0)
+        assert len(swept) == 64
+        for k, value in enumerate(swept):
+            reference = _value(kind, k, mu)
+            assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (kind, k, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +376,8 @@ def test_exponential_overflow_raises_range_error():
         chebyshev_hat(0, 1e6j)
     with pytest.raises(OverflowError):
         legendre_hat(2, -1e6j)
+    with pytest.raises(OverflowError):  # the value itself is beyond double range
+        legendre_hat(300, 5000j)
 
 
 def test_non_finite_argument_rejected():
