@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bessel, oracle, transforms
+from . import bessel, coeffs, oracle, transforms
 from .coeffs import Family
 
 __all__ = ["CHECKS", "CheckResult", "closed_grid", "oracle_grid", "run_check", "run_checks"]
@@ -30,6 +30,7 @@ Residuals = Iterator[tuple[float, str]]
 def oracle_grid(m: int) -> list[complex]:
     """Points across every evaluation regime, mirrored in sign, for degree m."""
     reals = [0.5, 1.0, 2.0, float(m + 1), float(m + 5), m - 0.5, m / 2]
+    reals += [math.pi * max(1, round(m / (2 * math.pi))), math.pi * (m // math.pi + 1)]  # sin(lam) = 0
     grid = [complex(v) for v in reals] + [complex(-v) for v in reals]
     grid += [1j, -1j, 2j, 1 + 1j, 3 - 2j, complex(1e-3), 1e-6 * (1 + 1j)]
     return grid
@@ -61,6 +62,14 @@ def _zero_lambda_values(max_m: int) -> Residuals:
             expected = complex(float(transforms.zero_lambda_value(fam, m)))
             got = transforms.transform_hat(fam, m, 0.0).value
             yield float(got != expected), f"({fam.value}, m={m}, lam=0)"
+
+
+def _paper_tables(max_m: int) -> Residuals:
+    for fam in Family:
+        for m in range(max_m + 1):
+            table = (1, *coeffs.coefficient_table(fam, m).coeffs)  # c_0 = 1, so c_1 is the first ratio
+            steps = zip(table, table[1:], transforms.closed_form_ratios(fam, m))
+            yield float(not all(c * den == prev * num for prev, c, (num, den) in steps)), f"({fam.value}, m={m})"
 
 
 def _oracle_agreement(max_m: int) -> Residuals:
@@ -164,6 +173,7 @@ def _quadrature_rule(max_m: int) -> Residuals:
 # The order is the order in which `fourpoly verify` prints the checks.
 CHECKS: dict[str, Callable[[int], Residuals]] = {
     "zero_lambda_values": _zero_lambda_values,
+    "paper_tables": _paper_tables,
     "oracle_agreement": _oracle_agreement,
     "parity": _parity,
     "conjugation": _conjugation,

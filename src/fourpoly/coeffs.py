@@ -8,8 +8,8 @@ For lam != 0 the transform of a degree-m polynomial from either family is
 with coefficients c_n that are exact integers depending only on the family
 and the degree.  This module constructs those integers.  The top Legendre
 entry equals the double factorial (2m-1)!!, which leaves 64-bit range near
-m = 17, so tables are built in Python's arbitrary-precision integers and
-converted to floating point only at evaluation time (see `transforms`).
+m = 17, so tables are built in Python's arbitrary-precision integers.  No
+transform evaluation reads them: `transforms` steps from c_n to c_{n+1} by a ratio.
 """
 from __future__ import annotations
 

@@ -5,16 +5,18 @@
 for complex lam, with three regimes:
 
 * lam == 0: exact rational value,
-* |lam| >= max(1, m): the explicit closed form over the integer tables,
+* |lam| >= max(1, m): the explicit closed form, summed term by term,
 * otherwise: the three-term recurrence in the degree, solved as a
   boundary-value problem.
 
-The closed form is an alternating sum whose largest term grows like
-(2m-1)!!/|lam|^(m+1); below |lam| ~ m it cancels catastrophically in doubles.
-Above the threshold its two part-sums can still cancel (near the imaginary
-axis, and for larger m up to |lam| ~ 3m); where they do, the recurrence takes
-over.  The closed form stays the first choice above the threshold because
-its cost does not grow with |lam|.
+The closed form sum_n c_n [e^{i lam} + (-1)^(n+m) e^{-i lam}] (i lam)^-n reads
+none of the paper's integer tables (`coeffs`): as c_n = (-1)^(m+n+1)
+p_m^(n-1)(1), each term is the one before it times a small rational over
+i lam.  Its largest term grows like (2m-1)!!/|lam|^(m+1), so below |lam| ~ m
+it cancels catastrophically in doubles.  Above the threshold its part-sums can
+still cancel (near the imaginary axis, and for larger m up to |lam| ~ 3m);
+where they do, or where a term leaves the double range, the recurrence, whose
+cost grows with |lam|, takes over.  A non-finite value raises `OverflowError`.
 
 The recurrence comes from integrating by parts the derivative identities
 (2k+1) P_k = P'_{k+1} - P'_{k-1}, 2 T_k = T'_{k+1}/(k+1) - T'_{k-1}/(k-1)
@@ -29,15 +31,18 @@ with a = 2k+1, alpha = beta = 1 for Legendre, a = 2, alpha = 1/(k+1),
 beta = 1/(k-1) (beta_1 = 0) for Chebyshev and a = 2, alpha = beta = 1/(k+1)
 for U.  Once k > |lam| the other solutions grow factorially and F_k does
 not, so it is computed by Olver's algorithm (F. W. J. Olver, J. Res. NBS
-71B, 1967): forward elimination from F_0, then back substitution from a
-truncation point chosen by the algorithm's own error estimate.
+71B, 1967): forward elimination from an exact anchor, then back substitution
+from a truncation point chosen by the algorithm's own error estimate.  An
+anchor where the minimal solution is small loses F_m (Legendre at lam = n pi,
+where F_0 = 0), so where that solution is larger at degree 1 and |lam| > 1,
+the anchor is F_1 = i(2 cos lam - F_0)/lam, or twice that for U.
 
 The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
 integration-by-parts route to the Chebyshev transform is, with x = cos w,
 the transform of U_{m-1}, the Chebyshev polynomial of the second kind, at
 lam = iz.  It runs through the same closed form, recurrence and dispatch; its
-integer table comes from the derivatives of U_k at x = 1, so the route checks
-the Chebyshev table against an independent identity.
+ratios come from the derivatives of U_k at x = 1, so the route checks the
+T_m ratios against an independent identity.
 """
 from __future__ import annotations
 
@@ -48,7 +53,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import Family, as_family, coefficient_table
+from .coeffs import Family, as_family, coefficient_table  # noqa: F401 (re-bound by bench/tracing.py)
 
 __all__ = [
     "EvalPath",
@@ -108,8 +113,21 @@ def zero_lambda_value(family: Family | str, m: int) -> Fraction:
 # the part-sums P and Q have cancelled too far for double accumulation.
 _CANCEL_LIMIT = 256.0
 
+_U = "U"  # ratio and row key of U_k; not a `Family`, so no command or check sees it
 
-def _closed_form(coeffs: tuple[int, ...], m: int, lam: complex) -> tuple[complex, float]:
+
+@lru_cache(maxsize=256)
+def closed_form_ratios(kind: Family | str, m: int) -> tuple[tuple[int, int], ...]:
+    """c_1, then r_n = c_{n+1}/c_n for n = 1..m, as (numerator, denominator);
+    r_n is minus the ratio of consecutive derivatives of p_m at x = 1."""
+    if kind is Family.LEGENDRE:
+        return ((-1) ** m, 1), *((-(m + n) * (m - n + 1), 2 * n) for n in range(1, m + 1))
+    if kind == _U:
+        return ((-1) ** m * (m + 1), 1), *((n * n - (m + 1) ** 2, 2 * n + 1) for n in range(1, m + 1))
+    return ((-1) ** m, 1), *(((n - 1) ** 2 - m * m, 2 * n - 1) for n in range(1, m + 1))
+
+
+def _closed_form(kind: Family | str, m: int, lam: complex) -> tuple[complex, float]:
     """Closed-form value and the cancellation ratio of its part-sums.
 
     For real lam, w = 1/(i lam) is purely imaginary and every product keeps
@@ -119,17 +137,13 @@ def _closed_form(coeffs: tuple[int, ...], m: int, lam: complex) -> tuple[complex
     e_plus = cmath.exp(1j * lam)
     e_minus = cmath.exp(-1j * lam)
     w = 1.0 / (1j * lam)
-    power = 1.0 + 0j
+    term = 1.0 + 0j  # c_0 w^0, so that c_1 is the first ratio
     sign = 1 if m % 2 else -1  # (-1)^(n+m) starting at n = 1
     part_plus = 0j  # P = sum c_n w^n, multiplies e^{i lam}
     part_minus = 0j  # Q = sum (-1)^(n+m) c_n w^n, multiplies e^{-i lam}
     magnitude = 0.0
-    for n in range(1, m + 2):
-        power *= w
-        if n % 16 == 0:
-            # repeated multiplication drifts ~n*eps; re-anchor occasionally
-            power = w**n
-        term = float(coeffs[n - 1]) * power
+    for num, den in closed_form_ratios(kind, m):
+        term *= num / den * w
         part_plus += term
         part_minus += sign * term
         magnitude += abs(term.real) + abs(term.imag)
@@ -141,23 +155,14 @@ def _closed_form(coeffs: tuple[int, ...], m: int, lam: complex) -> tuple[complex
     return plus + minus, scale / kept if kept else math.inf
 
 
-_U = "U"  # table and row key of U_k; not a `Family`, so no command or check sees it
-
-
-@lru_cache(maxsize=None)
-def _u_table(k: int) -> tuple[int, ...]:
-    """Closed-form coefficients of U_k: c_n = (-1)^(k+n+1) U_k^(n-1)(1), where
-    U_k^(j)(1) = (k+1) prod_{i=1..j} ((k+1)^2 - i^2) / (2i+1), an integer."""
-    table, derivative = [], k + 1
-    for n in range(1, k + 2):
-        table.append(derivative if (k + n) % 2 else -derivative)
-        derivative = derivative * ((k + 1) ** 2 - n * n) // (2 * n + 1)
-    return tuple(table)
-
-
 # ---------------------------------------------------------------------------
 # degree recurrence (Olver's algorithm)
 # ---------------------------------------------------------------------------
+
+
+# The minimal solution goes like sin(lam - phase) at the first anchor and like cos(lam - phase)
+# at F_1: j_0 and j_1 for Legendre, J_0 (row 1) and J_1 for Chebyshev, J_1 and J_2 for U.
+_ANCHOR_PHASE = {Family.LEGENDRE: 0.0, Family.CHEBYSHEV: -math.pi / 4, _U: math.pi / 4}
 
 
 @lru_cache(maxsize=None)
@@ -192,11 +197,13 @@ def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[comp
     tol = 1e-17 * min(1.0, alam)
     size = 2 * math.ceil(max(m, alam)) + 64
     rows = _rows(kind, 1 << (size - 1).bit_length())
-    g, h = f, 0j
-    gs = [g] if low == 0 else []  # row 0, F_0 = f, is kept for a sweep from degree 0
-    hs = [h] if low == 0 else []
+    folded = complex(abs(lam.real), abs(lam.imag))  # the same anchor at lam, -lam and conj(lam)
+    g, h, start = f, 0j, 1  # the anchor (module docstring): F_0, or row 1 is F_1 = g_1 with h_1 = 0
+    if alam > 1.0 and abs(cmath.tan(folded - _ANCHOR_PHASE[kind])) < 1.0:
+        g, start = (2j if kind == _U else 1j) * (drive[0] - f) / lam, 2  # U_1 = 2x
+    gs, hs = [f, g][low:start], [h, h][low:start]  # rows 0 (and 1), kept for a sweep from below
     reach = 1.0
-    for k in range(1, size):
+    for k in range(start, size):
         alpha, beta, diff = rows[k]
         z_beta = z * beta
         pivot = 1.0 + z_beta * h
@@ -239,16 +246,14 @@ def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[comp
 
 def _value(kind: Family | str, m: int, lam: complex) -> complex:
     """F_m at lam != 0: the closed form at or above `regime_threshold(m)`
-    unless its part-sums cancel or overflow, the degree recurrence otherwise."""
-    if abs(lam) >= regime_threshold(m):
-        coeffs = _u_table(m) if kind == _U else coefficient_table(kind, m).coeffs
-        try:
-            value, cancellation = _closed_form(coeffs, m, lam)
-        except OverflowError:  # the recurrence raises it too if F_m overflows
-            cancellation = math.inf
-        if cancellation <= _CANCEL_LIMIT:
-            return value
-    return _recurrence(kind, m, lam, m)[0]
+    unless its part-sums cancel, the degree recurrence otherwise.  A value
+    that is not finite raises `OverflowError`."""
+    value, cancellation = _closed_form(kind, m, lam) if abs(lam) >= regime_threshold(m) else (0j, math.inf)
+    if not cancellation <= _CANCEL_LIMIT:  # NaN too: a term beyond the double range (m >~ 1500)
+        value = _recurrence(kind, m, lam, m)[0]
+    if not cmath.isfinite(value):
+        raise OverflowError(f"transform value beyond the double range at m={m}, lam={lam}")
+    return value
 
 
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:
@@ -299,7 +304,7 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
 def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
     """Chebyshev transform through the kernel route (integration by parts).
 
-    Uses the U_{m-1} table, not the Chebyshev one; used to cross-check
+    Uses the U_{m-1} ratios, not the Chebyshev ones; used to cross-check
     `chebyshev_hat` on the closed-form regime.
     """
     lam = complex(lam)

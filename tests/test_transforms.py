@@ -2,11 +2,14 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
+from fourpoly.bessel import bessel_half
 from fourpoly.checks import run_check
-from fourpoly.coeffs import Family, chebyshev_coeffs
+from fourpoly.coeffs import Family, chebyshev_coeffs, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
 from fourpoly.oracle import quad_transform
 from fourpoly.transforms import (
@@ -21,8 +24,8 @@ from fourpoly.transforms import (
     _U,
     _closed_form,
     _recurrence,
-    _u_table,
     _value,
+    closed_form_ratios,
 )
 from fourpoly.coeffs import coefficient_table
 
@@ -129,8 +132,18 @@ def test_series_limit_matches_zero_value(family):
 # ---------------------------------------------------------------------------
 
 
+def u_table(k):
+    """Closed-form coefficients of U_k: c_n = (-1)^(k+n+1) U_k^(n-1)(1), where
+    U_k^(j)(1) = (k+1) prod_{i=1..j} ((k+1)^2 - i^2) / (2i+1), an integer."""
+    table, derivative = [], k + 1
+    for n in range(1, k + 2):
+        table.append(derivative if (k + n) % 2 else -derivative)
+        derivative = derivative * ((k + 1) ** 2 - n * n) // (2 * n + 1)
+    return tuple(table)
+
+
 def exact_closed_form(family, m, lam):
-    """Closed form over the exact integer table (the U_m table for `_U`),
+    """Closed form over the exact integer table (`u_table` for `_U`),
     summed in 60-digit mpmath.
 
     Quadrature is no reference here: near the imaginary axis its own error
@@ -141,7 +154,7 @@ def exact_closed_form(family, m, lam):
         z = mpmath.mpc(lam.real, lam.imag)
         e_plus, e_minus, w = mpmath.exp(1j * z), mpmath.exp(-1j * z), 1 / (1j * z)
         total = mpmath.mpc(0)
-        coeffs = _u_table(m) if family == _U else coefficient_table(family, m).coeffs
+        coeffs = u_table(m) if family == _U else coefficient_table(family, m).coeffs
         for n, c in enumerate(coeffs, start=1):
             total += c * (e_plus + (-1) ** (n + m) * e_minus) * w**n
         return complex(total)
@@ -194,8 +207,9 @@ def test_tiny_lambda_keeps_relative_accuracy():
     assert abs(chebyshev_hat(3, 1e-20).value - 0.4e-20j) <= 1e-14 * 0.4e-20
 
 
-def test_closed_form_overflow_falls_back_to_recurrence():
-    # the closed form's top coefficients exceed the double range at m = 160
+def test_degree_160_matches_exact_closed_form():
+    # the paper's top coefficients exceed the double range at m = 160; the
+    # ratio loop never forms them
     cases = [
         (legendre_hat(160, 161.0).value, Family.LEGENDRE),
         (chebyshev_hat(160, 161.0).value, Family.CHEBYSHEV),
@@ -212,6 +226,95 @@ def test_quad_transform_matches_exact_closed_form():
                            ("chebyshev", 12, -15 + 3j), ("legendre", 0, 3j)]:
         reference = exact_closed_form(Family(family), m, lam)
         assert abs(quad_transform(family, m, lam) - reference) <= 1e-13 * (1 + abs(reference))
+
+
+# ---------------------------------------------------------------------------
+# lam = n pi, where F_0 = 2 sin(lam) / lam vanishes and the recurrence
+# anchors at F_1 instead
+# ---------------------------------------------------------------------------
+
+
+def exact_real_closed_form(coeffs, m, lam):
+    """Closed form over an exact table at real lam: the sums over n are exact
+    integers, and mpmath combines them with cos and sin at enough digits for
+    their cancellation."""
+    mpmath = pytest.importorskip("mpmath")
+    num, den = lam.as_integer_ratio()
+    # num^(m+1) c_n w^n = c_n (-i)^n den^n num^(m+1-n): real at even n, imaginary at odd n
+    even = odd = 0
+    power = 1
+    for n, c in enumerate(coeffs, start=1):
+        even, odd, power = even * num, odd * num, power * den
+        term = c * power if n % 4 < 2 else -c * power  # (-i)^n = -i, -1, i, 1 for n = 1, 2, 3, 0 mod 4
+        if n % 2:
+            odd -= term
+        else:
+            even += term
+    whole = num ** (m + 1)
+    digits = 20 + max(0.0, math.log10(abs(even) + abs(odd) + 1) - math.log10(abs(whole)))
+    with mpmath.workdps(int(digits)):
+        x = mpmath.mpf(lam)
+        e, o = mpmath.mpf(even) / whole, mpmath.mpf(odd) / whole
+        if m % 2:
+            return complex(0, 2 * (e * mpmath.sin(x) + o * mpmath.cos(x)))
+        return complex(2 * (e * mpmath.cos(x) - o * mpmath.sin(x)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 40, 69, 80])
+def test_multiples_of_pi_match_exact_closed_form(family, m):
+    coeffs = coefficient_table(family, m).coeffs
+    for n in range(1, math.ceil(2.5 * m / math.pi) + 1):
+        offsets = [0.0] + [s * 10.0**-j for j in (4, 6, 8, 10, 12) for s in (1, -1)]
+        for lam in (n * math.pi + d for d in offsets):
+            reference = exact_real_closed_form(coeffs, m, lam)
+            value = transform_hat(family, m, lam).value
+            assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (family, m, lam)
+
+
+def test_chebyshev_spike_and_kernel_points_match_exact_closed_form():
+    # row 1 of the Chebyshev recurrence was its anchor; the minimal solution
+    # nearly vanishes there at lam = 84.0390907765 for m = 69
+    reference = exact_real_closed_form(chebyshev_coeffs(69).coeffs, 69, 84.0390907765)
+    assert abs(chebyshev_hat(69, 84.0390907765).value - reference) <= 1e-13 * (1 + abs(reference))
+    for k in range(10, 40):
+        for lam in (25.3, 31.7, 38.474):
+            reference = exact_real_closed_form(u_table(k), k, lam)
+            assert abs(_value(_U, k, lam) - reference) <= 1e-13 * (1 + abs(reference)), (k, lam)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + [_U])
+def test_zeros_of_bessel_j_match_exact_closed_form(kind):
+    # the minimal solutions go like J_0, J_1 (Chebyshev) and J_1, J_2 (U) at
+    # the two anchors; each must be avoided where it vanishes
+    special = pytest.importorskip("scipy.special")
+    for m in (20, 80):
+        coeffs = u_table(m) if kind == _U else coefficient_table(kind, m).coeffs
+        for order in (0, 1, 2):
+            for lam in special.jn_zeros(order, 80):
+                if 1.0 < lam < 2.5 * m:
+                    reference = exact_real_closed_form(coeffs, m, float(lam))
+                    value = _value(kind, m, float(lam))
+                    assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (kind, m, order, lam)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + [_U])
+def test_anchor_choice_keeps_parity_and_conjugation_exact(kind):
+    # F(-lam) = (-1)^m F(lam) and F(-conj(lam)) = conj(F(lam)) hold exactly
+    # only if lam, -lam and -conj(lam) get the same anchor
+    rng = random.Random(3)
+    for _ in range(200):
+        m = rng.randint(1, 60)
+        lam = rng.uniform(1, 2.5 * m + 2) * cmath.exp(1j * rng.choice([0.0, rng.uniform(0, math.pi / 2)]))
+        value = _value(kind, m, lam)
+        assert _value(kind, m, -lam) == (-1) ** m * value, (kind, m, lam)
+        assert _value(kind, m, -lam.conjugate()) == value.conjugate(), (kind, m, lam)
+
+
+def test_bessel_at_four_pi_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    reference = special.jv(20.5, 4 * math.pi)
+    assert abs(bessel_half(20, 4 * math.pi) - reference) <= 1e-13 * (1 + abs(reference))
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +433,16 @@ def test_kernel_checks_pass_to_degree_64():
     assert run_check("kernel_route", 64).worst <= 1e-10
 
 
+def exact_ratio_table(kind, m):
+    """c_1 .. c_{m+1} as exact running products of the evaluator's ratios."""
+    return list(accumulate((Fraction(*r) for r in closed_form_ratios(kind, m)), mul))
+
+
 def test_u_table_is_the_chebyshev_table_integrated_by_parts():
     # T_m' = m U_{m-1}, so c_{n+1}(T_m) = m c_n(U_{m-1}), exactly in integers
     for m in range(1, 65):
-        table, coeffs = _u_table(m - 1), chebyshev_coeffs(m).coeffs
+        table, coeffs = exact_ratio_table(_U, m - 1), chebyshev_coeffs(m).coeffs
+        assert list(u_table(m - 1)) == table, m
         assert all(table[n - 1] * m == coeffs[n] for n in range(1, m + 1)), m
 
 
@@ -354,7 +463,7 @@ def test_kernel_route_examples():
     assert abs(chebyshev_hat_via_kernel(1, 1.0) - chebyshev_hat(1, 1.0).value) <= 1e-12
     lam = 0.5 - 2j
     via = chebyshev_hat_via_kernel(4, lam)
-    forced, _ = _closed_form(coefficient_table("chebyshev", 4).coeffs, 4, lam)
+    forced, _ = _closed_form(Family.CHEBYSHEV, 4, lam)
     reference = quad_transform("chebyshev", 4, lam)
     assert abs(via - forced) <= 1e-9 * abs(reference)
     assert abs(via - reference) <= 1e-9 * (1 + abs(reference))
@@ -378,6 +487,41 @@ def test_exponential_overflow_raises_range_error():
         legendre_hat(2, -1e6j)
     with pytest.raises(OverflowError):  # the value itself is beyond double range
         legendre_hat(300, 5000j)
+
+
+def test_non_finite_value_raises_overflow_error():
+    # e^{710} overflows in the closed form; the recurrence at m = 800 yields NaN
+    cases = [
+        lambda: legendre_hat(3, 710j),
+        lambda: chebyshev_hat(3, -710j),
+        lambda: bessel_half(3, 710j),
+        lambda: exp_cos_sine_integral(3, 710),
+        lambda: legendre_hat(0, 710j),
+        lambda: legendre_hat(800, 709.9j),
+    ]
+    for case in cases:
+        with pytest.raises(OverflowError):
+            case()
+
+
+def test_closed_form_terms_beyond_double_range_fall_to_recurrence():
+    # the largest term at m = 2000, lam = 2000 is ~10^400: the closed form is
+    # NaN, fails the cancellation test, and the recurrence gives the value
+    _, cancellation = _closed_form(Family.LEGENDRE, 2000, 2000.0)
+    assert not cancellation <= 256
+    assert legendre_hat(2000, 2000.0).value == 0.0019173714582724126
+
+
+def test_evaluation_builds_no_paper_table():
+    chebyshev_coeffs.cache_clear()
+    legendre_coeffs.cache_clear()
+    for m in range(65):
+        for lam in closed_grid(m):
+            for family in FAMILIES:
+                transform_hat(family, m, lam)
+            exp_cos_sine_integral(m, -1j * lam)
+    assert chebyshev_coeffs.cache_info().misses == 0
+    assert legendre_coeffs.cache_info().misses == 0
 
 
 def test_non_finite_argument_rejected():
