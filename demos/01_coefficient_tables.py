@@ -13,7 +13,7 @@
 # combination coefficients are exact integers.  This demo builds a few
 # tables and shows why arbitrary-precision arithmetic is not optional.
 
-from fourpoly import chebyshev_coeffs, legendre_coeffs, coefficients_csv
+from fourpoly.coeffs import chebyshev_coeffs, legendre_coeffs, coefficients_csv
 
 for m in range(6):
     print(f"T_{m}:", chebyshev_coeffs(m).coeffs)

@@ -18,7 +18,8 @@
 
 import numpy as np
 
-from fourpoly import chebyshev_hat, legendre_hat, quad_transform
+from fourpoly.oracle import quad_transform
+from fourpoly.transforms import chebyshev_hat, legendre_hat
 
 for lam in (0.0, 1e-3, 0.5, 3.0, 12.0, 2 + 1j):
     result = legendre_hat(4, lam)

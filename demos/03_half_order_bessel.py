@@ -13,7 +13,8 @@
 
 import math
 
-from fourpoly import bessel_half, legendre_hat, legendre_hat_via_bessel
+from fourpoly.bessel import bessel_half, legendre_hat_via_bessel
+from fourpoly.transforms import legendre_hat
 
 # The first two half-order functions have textbook closed forms:
 

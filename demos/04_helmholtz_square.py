@@ -22,8 +22,7 @@ import warnings
 
 import numpy as np
 
-from fourpoly import exact_neumann, relative_error_einf, solve
-from fourpoly.helmholtz import REPORT_CSV_HEADER
+from fourpoly.helmholtz import REPORT_CSV_HEADER, exact_neumann, relative_error_einf, solve
 
 # ## Spectral convergence with M = 2N
 

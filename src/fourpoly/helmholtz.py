@@ -14,7 +14,9 @@ Writing a(lam) = lam + 1/lam, the boundary integrals on the left side are
 
 and since e^{a y} = e^{-i mu y} with mu = i a, each Legendre basis column of
 N is a transform value from `transforms`; one degree sweep of its recurrence
-gives all N columns at a shifted point.  Collocating the two relations
+gives all N columns at a shifted point.  The frequency at i lam is exactly
+minus the one at -i lam, so the columns there are the -i lam ones times
+(-1)^k, and each point takes two sweeps.  Collocating the two relations
 
     cos(lam - 1/lam) N(lam) + cos(i lam - 1/(i lam)) N(-+ i lam)
         = (lam - 1/lam) sin(lam - 1/lam) D(lam)
@@ -195,6 +197,7 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         raise ValueError("collocation points must be nonzero")
     rows = np.zeros((2 * len(points), n_basis), dtype=complex)
     rhs = np.zeros(2 * len(points), dtype=complex)
+    parity = (-1.0) ** np.arange(n_basis)
     for r, lam in enumerate(points):
         z1 = lam - 1.0 / lam
         z2 = 1j * lam - 1.0 / (1j * lam)
@@ -204,10 +207,13 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         f2 = z2 * cmath.sin(z2)
         d_lam = dirichlet(lam)
         base = c1 * _neumann_hat_columns(n_basis, lam)
-        for half, rot in ((0, -1j), (1, 1j)):
-            shifted = rot * lam
-            rows[2 * r + half] = base + c2 * _neumann_hat_columns(n_basis, shifted)
-            rhs[2 * r + half] = f1 * d_lam + f2 * dirichlet(shifted)
+        # mu(i lam) = -mu(-i lam) and p_k-hat(-mu) = (-1)^k p_k-hat(mu), both
+        # exactly, so the -i lam sweep also gives the i lam columns
+        turned = c2 * _neumann_hat_columns(n_basis, -1j * lam)
+        rows[2 * r] = base + turned
+        rows[2 * r + 1] = base + parity * turned
+        rhs[2 * r] = f1 * d_lam + f2 * dirichlet(-1j * lam)
+        rhs[2 * r + 1] = f1 * d_lam + f2 * dirichlet(1j * lam)
     return CollocationSystem(tuple(points), rows, rhs)
 
 
@@ -227,10 +233,6 @@ class NeumannExpansion:
     """Legendre expansion of the recovered side derivative u_x(-1, y)."""
 
     coefficients: np.ndarray
-
-    @property
-    def basis_size(self) -> int:
-        return len(self.coefficients)
 
     def reconstruct(self, y):
         y = np.asarray(y, dtype=float)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fourpoly import helmholtz
 from fourpoly.helmholtz import (
     DegenerateSystemError,
     CollocationSystem,
@@ -191,6 +192,32 @@ def test_columns_at_zero_frequency_are_exact():
     expected[0] = 2.0
     for shifted in (-1j, 1j):
         assert np.array_equal(_neumann_hat_columns(20, shifted), expected)
+
+
+def test_turned_columns_differ_by_parity_exactly():
+    # mu(i lam) = -mu(-i lam) and p_k-hat(-mu) = (-1)^k p_k-hat(mu), bit for
+    # bit, which lets assembly take the i lam columns from the -i lam sweep
+    rng = np.random.default_rng(11)
+    randoms = rng.uniform(-20.0, 20.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
+    lams = [*collocation_points(40), *collocation_points(40, RayRule(angles=(0.0, 0.6, 1.2))), *randoms]
+    parity = (-1.0) ** np.arange(40)
+    for lam in lams:
+        turned = _neumann_hat_columns(40, -1j * lam)
+        assert np.array_equal(_neumann_hat_columns(40, 1j * lam), parity * turned), lam
+
+
+def test_assembly_sweeps_twice_per_point(monkeypatch):
+    calls = []
+    sweep = helmholtz._neumann_hat_columns
+
+    def counted(n_basis, lam):
+        calls.append(lam)
+        return sweep(n_basis, lam)
+
+    monkeypatch.setattr(helmholtz, "_neumann_hat_columns", counted)
+    points = collocation_points(12, RayRule(angles=(0.0, 0.6, 1.2)))
+    assemble_system(8, points)
+    assert len(calls) == 2 * len(points)
 
 
 def test_assemble_zero_dirichlet_data_gives_zero_rhs():
