@@ -103,10 +103,8 @@ def chebyshev_coeffs(m: int) -> CoefficientTable:
     for n in range(3, m + 2):
         total = 0
         for k in range(1, m - n + 3):
-            prod = 1
-            for j in range(k, n + k - 2):
-                prod *= m - j
-            total += binom_clamped(n + k - 3, k - 1) * prod
+            # (m-k)(m-k-1)...(m-k-n+3), n-2 factors, all positive as m-k >= n-2
+            total += binom_clamped(n + k - 3, k - 1) * math.perm(m - k, n - 2)
         entries.append((-1) ** (m + n - 1) * 2 ** (n - 2) * m * total)
     return CoefficientTable(Family.CHEBYSHEV, m, tuple(entries))
 

@@ -49,8 +49,6 @@ __all__ = [
     "exact_neumann",
     "dirichlet_hat",
     "neumann_hat_column",
-    "RayRule",
-    "DEFAULT_RULE",
     "collocation_points",
     "CollocationSystem",
     "assemble_system",
@@ -112,45 +110,22 @@ def neumann_hat_column(basis_index: int, lam: complex) -> complex:
 def _neumann_hat_columns(n_basis: int, lam: complex) -> np.ndarray:
     """`neumann_hat_column(k, lam)` for every k < n_basis, from one degree sweep."""
     mu = 1j * (lam + 1.0 / lam)
-    if mu == 0:  # lam = +-1, which the rotated rays reach
+    if mu == 0:  # lam = +-i, where the -i lam sweep of the point lam = 1 lands
         return np.array([float(zero_lambda_value(Family.LEGENDRE, k)) for k in range(n_basis)], dtype=complex)
     return np.array(_recurrence(Family.LEGENDRE, n_basis - 1, mu, 0))
 
 
-@dataclass(frozen=True)
-class RayRule:
-    """Collocation placement: points r_k e^{i angle} with uniform radii.
+def collocation_points(count: int) -> list[complex]:
+    """M collocation points 1, 1+h, ..., 1+(M-1)h on the real axis, h = max(4/M, 1/2).
 
-    Radii start at `r_start` with spacing max(base_span / M, min_spacing);
-    the spacing floor makes the covered frequency band lam + 1/lam grow with
+    The spacing floor makes the covered frequency band lam + 1/lam grow with
     the point count, which the basis resolution requires (modes above the
-    top frequency produce numerically dependent columns).  With several
-    angles the points cycle through them at increasing radii.
+    top frequency produce numerically dependent columns).
     """
-
-    r_start: float = 1.0
-    base_span: float = 4.0
-    min_spacing: float = 0.5
-    angles: tuple[float, ...] = (0.0,)
-
-    def spacing(self, count: int) -> float:
-        return max(self.base_span / count, self.min_spacing)
-
-
-DEFAULT_RULE = RayRule()
-
-
-def collocation_points(count: int, rule: RayRule = DEFAULT_RULE) -> list[complex]:
-    """M collocation points; the default rule is 1, 1+h, ... on the real axis."""
     if count < 1:
         raise ValueError("need at least one collocation point")
-    h = rule.spacing(count)
-    points = []
-    for k in range(count):
-        radius = rule.r_start + k * h
-        angle = rule.angles[k % len(rule.angles)]
-        points.append(radius * cmath.exp(1j * angle) if angle else complex(radius))
-    return points
+    h = max(4.0 / count, 0.5)
+    return [complex(1.0 + k * h) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -163,7 +138,6 @@ class CollocationSystem:
     columns.
     """
 
-    points: tuple[complex, ...]
     matrix: np.ndarray
     rhs: np.ndarray
     row_scale: np.ndarray | None = None
@@ -214,7 +188,7 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         rows[2 * r + 1] = base + parity * turned
         rhs[2 * r] = f1 * d_lam + f2 * dirichlet(-1j * lam)
         rhs[2 * r + 1] = f1 * d_lam + f2 * dirichlet(1j * lam)
-    return CollocationSystem(tuple(points), rows, rhs)
+    return CollocationSystem(rows, rhs)
 
 
 def scale_system(system: CollocationSystem) -> CollocationSystem:
@@ -265,7 +239,7 @@ def relative_error_einf(expansion: NeumannExpansion) -> float:
     return float(np.max(np.abs(expansion.reconstruct(grid) - exact)) / np.max(np.abs(exact)))
 
 
-def solve(n_basis: int, point_count: int, rule: RayRule = DEFAULT_RULE) -> tuple[NeumannExpansion, SolveReport]:
+def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport]:
     """Assemble, equilibrate and least-squares solve; report error and conditioning.
 
     Requires point_count >= ceil(n_basis / 2) so the system has at least as
@@ -276,7 +250,7 @@ def solve(n_basis: int, point_count: int, rule: RayRule = DEFAULT_RULE) -> tuple
     if point_count < max(1, -(-n_basis // 2)):
         raise ValueError("need at least ceil(N/2) collocation points")
     start = time.perf_counter()
-    system = scale_system(assemble_system(n_basis, collocation_points(point_count, rule)))
+    system = scale_system(assemble_system(n_basis, collocation_points(point_count)))
     matrix = system.scaled_matrix
     rhs = system.scaled_rhs
     scaled_solution, _, _, singular_values = np.linalg.lstsq(matrix, rhs, rcond=None)

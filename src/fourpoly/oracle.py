@@ -31,7 +31,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def _recurrence_values(m: int, x: np.ndarray, chebyshev: bool) -> np.ndarray:
@@ -100,7 +99,7 @@ def _rule(order: int) -> QuadratureRule:
     weights = w[idx]
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes, weights, n)
+    return QuadratureRule(nodes, weights)
 
 
 def gauss_legendre_rule(order: int) -> QuadratureRule:

@@ -85,8 +85,6 @@ class EvalPath(str, Enum):
 class TransformResult:
     value: complex
     path: EvalPath
-    degree: int
-    family: Family
 
 
 def regime_threshold(m: int) -> float:
@@ -132,10 +130,12 @@ def _closed_form(kind: Family | str, m: int, lam: complex) -> tuple[complex, flo
 
     For real lam, w = 1/(i lam) is purely imaginary and every product keeps
     its zero component exactly, so parity, conjugation and realness hold
-    exactly.
+    exactly.  Beyond |Im lam| = 700, e^{excess} comes out of both exponentials
+    before they can overflow and goes back on the sum.
     """
-    e_plus = cmath.exp(1j * lam)
-    e_minus = cmath.exp(-1j * lam)
+    excess = abs(lam.imag) - 700.0 if abs(lam.imag) > 700.0 else 0.0
+    e_plus = cmath.exp(1j * lam - excess)
+    e_minus = cmath.exp(-1j * lam - excess)
     w = 1.0 / (1j * lam)
     term = 1.0 + 0j  # c_0 w^0, so that c_1 is the first ratio
     sign = 1 if m % 2 else -1  # (-1)^(n+m) starting at n = 1
@@ -152,7 +152,8 @@ def _closed_form(kind: Family | str, m: int, lam: complex) -> tuple[complex, flo
     minus = e_minus * part_minus
     kept = abs(plus) + abs(minus)
     scale = (abs(e_plus) + abs(e_minus)) * magnitude
-    return plus + minus, scale / kept if kept else math.inf
+    value = plus + minus
+    return value * math.exp(excess) if excess else value, scale / kept if kept else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +187,18 @@ def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[comp
     neglected F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the
     min covers the Chebyshev F_{k+1}, up to 1/|lam| times F_m for small lam.
     Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
+    The F_k are linear in sin lam and cos lam, so beyond |Im lam| = 700 both
+    are taken at |Im lam| = 700, which divides them by e^{|Im lam| - 700} up
+    to a relative e^{-1400}, and the F_k are multiplied by it at the end.
     """
-    sine = cmath.sin(lam)
+    excess = abs(lam.imag) - 700.0 if abs(lam.imag) > 700.0 else 0.0
+    near = complex(lam.real, math.copysign(700.0, lam.imag)) if excess else lam
+    sine = cmath.sin(near)
     f = 2.0 * sine / lam  # F_0
     if m == 0:
-        return [f]
+        return [f * math.exp(excess)] if excess else [f]
     z = 1j * lam
-    drive = (2.0 * cmath.cos(lam), -2j * sine)  # B_{k+1} for k even, odd
+    drive = (2.0 * cmath.cos(near), -2j * sine)  # B_{k+1} for k even, odd
     alam = abs(lam)
     tol = 1e-17 * min(1.0, alam)
     size = 2 * math.ceil(max(m, alam)) + 64
@@ -236,7 +242,7 @@ def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[comp
         f1, f2 = f, f1
         gs[j] = f  # F_{low+j}; g_{low+j} is not read again
     del gs[m + 1 - low:]
-    return gs
+    return [v * math.exp(excess) for v in gs] if excess else gs
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +271,9 @@ def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult
     if not cmath.isfinite(lam):
         raise ValueError("lam must be finite")
     if lam == 0:
-        return TransformResult(complex(float(zero_lambda_value(fam, m))), EvalPath.ZERO_LAMBDA, m, fam)
+        return TransformResult(complex(float(zero_lambda_value(fam, m))), EvalPath.ZERO_LAMBDA)
     path = EvalPath.CLOSED_FORM if abs(lam) >= regime_threshold(m) else EvalPath.SMALL_LAMBDA_SERIES
-    return TransformResult(_value(fam, m, lam), path, m, fam)
+    return TransformResult(_value(fam, m, lam), path)
 
 
 def chebyshev_hat(m: int, lam: complex) -> TransformResult:

@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from fourpoly.bessel import bessel_half
-from fourpoly.checks import run_check
+from fourpoly.checks import closed_grid, run_check
 from fourpoly.coeffs import Family, chebyshev_coeffs, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
 from fourpoly.oracle import quad_transform
@@ -38,10 +38,6 @@ MAGNITUDES = [1e-6, 1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]
 
 def full_grid():
     return [complex(m * d) for m in MAGNITUDES for d in DIRECTIONS]
-
-
-def closed_grid(m):
-    return [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in DIRECTIONS[:4]]
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +485,21 @@ def test_exponential_overflow_raises_range_error():
         legendre_hat(300, 5000j)
 
 
-def test_non_finite_value_raises_overflow_error():
-    # e^{710} overflows in the closed form; the recurrence at m = 800 yields NaN
+def test_only_non_finite_values_raise_overflow_error():
+    # e^{+-i lam} (closed form) and sin, cos (recurrence, m = 800) pass the
+    # double range before the value does; references from 30-digit mpmath
     cases = [
-        lambda: legendre_hat(3, 710j),
-        lambda: chebyshev_hat(3, -710j),
-        lambda: bessel_half(3, 710j),
-        lambda: exp_cos_sine_integral(3, 710),
-        lambda: legendre_hat(0, 710j),
-        lambda: legendre_hat(800, 709.9j),
+        (lambda: legendre_hat(3, 710j).value, 3.1199750961627040e305),
+        (lambda: chebyshev_hat(3, -710j).value, -3.1067362428799814e305),
+        (lambda: bessel_half(3, 710j), 2.3451756152565601501e306 * (1 - 1j)),
+        (lambda: exp_cos_sine_integral(3, 710), 9.4040112389747350e305),
+        (lambda: legendre_hat(0, 710j).value, 3.1464715016362125e305),
+        (lambda: legendre_hat(800, 709.9j).value, 8.3091705499106588e124),
     ]
-    for case in cases:
-        with pytest.raises(OverflowError):
-            case()
+    for case, reference in cases:
+        assert abs(case() - reference) <= 1e-13 * abs(reference), reference
+    with pytest.raises(OverflowError):  # about 6.8e309
+        legendre_hat(0, 720j)
 
 
 def test_closed_form_terms_beyond_double_range_fall_to_recurrence():
