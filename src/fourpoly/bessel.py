@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 # Unused here, but bench/tracing.py re-binds `bessel.coefficient_table` along
 # with `transforms.transform_hat` and `helmholtz.legendre_hat` to count calls.
@@ -25,7 +26,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def bessel_half(m: int, lam: complex) -> complex:
     """J_{m+1/2}(lam) for complex lam; J_{m+1/2}(0) = 0."""
-    if m < 0:
+    if operator.index(m) < 0:
         raise ValueError("order index must be non-negative")
     lam = complex(lam)
     if not cmath.isfinite(lam):

@@ -17,14 +17,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
 
 __all__ = [
     "Family",
     "CoefficientTable",
     "as_family",
     "product_range",
-    "binom_clamped",
     "chebyshev_coeffs",
     "legendre_coeffs",
     "coefficient_table",
@@ -76,17 +74,6 @@ def product_range(s: int, t: int, r: int) -> int:
     return value
 
 
-def binom_clamped(s: int, t: int) -> int:
-    """Binomial coefficient s!/((s-t)! t!), or 0 outside 0 <= t <= s.
-
-    The zero convention covers both t > s and t < 0; the latter never has a
-    combinatorial meaning here but keeps every table branch total.
-    """
-    if t < 0 or s < t:
-        return 0
-    return math.comb(s, t)
-
-
 def _check_degree(m: int) -> None:
     if m < 0:
         raise ValueError("polynomial degree must be non-negative")
@@ -98,13 +85,11 @@ def chebyshev_coeffs(m: int) -> CoefficientTable:
     _check_degree(m)
     sign = -1 if m % 2 else 1
     entries = [sign]
-    if m >= 1:
-        entries.append(-sign * m * m)
-    for n in range(3, m + 2):
+    for n in range(2, m + 2):
         total = 0
         for k in range(1, m - n + 3):
             # (m-k)(m-k-1)...(m-k-n+3), n-2 factors, all positive as m-k >= n-2
-            total += binom_clamped(n + k - 3, k - 1) * math.perm(m - k, n - 2)
+            total += math.comb(n + k - 3, k - 1) * math.perm(m - k, n - 2)
         entries.append((-1) ** (m + n - 1) * 2 ** (n - 2) * m * total)
     return CoefficientTable(Family.CHEBYSHEV, m, tuple(entries))
 
@@ -127,14 +112,14 @@ def legendre_coeffs(m: int) -> CoefficientTable:
                 assert (m + n - 3) % 2 == 0
                 h = (m + n - 3) // 2
                 entries.append(
-                    ((m + n) * binom_clamped(h, n - 1) + binom_clamped(h, n - 2))
+                    ((m + n) * math.comb(h, n - 1) + math.comb(h, n - 2))
                     * product_range((m - n + 3) // 2, h, m)
                 )
         else:
             assert (m + n) % 2 == 0
             h = (m + n) // 2 - 1
             entries.append(
-                -binom_clamped(h, n - 1) * product_range((m - n) // 2 + 1, h, m)
+                -math.comb(h, n - 1) * product_range((m - n) // 2 + 1, h, m)
             )
     return CoefficientTable(Family.LEGENDRE, m, tuple(entries))
 
@@ -147,12 +132,9 @@ def coefficient_table(family: Family | str, m: int) -> CoefficientTable:
     return legendre_coeffs(m)
 
 
-def coefficients_csv(tables: CoefficientTable | Iterable[CoefficientTable]) -> str:
+def coefficients_csv(table: CoefficientTable) -> str:
     """CSV dump (header + one row per coefficient, exact decimal integers)."""
-    if isinstance(tables, CoefficientTable):
-        tables = [tables]
     lines = [CSV_HEADER]
-    for table in tables:
-        for n, c in enumerate(table.coeffs, start=1):
-            lines.append(f"{table.family.value},{table.degree},{n},{c}")
+    for n, c in enumerate(table.coeffs, start=1):
+        lines.append(f"{table.family.value},{table.degree},{n},{c}")
     return "\n".join(lines) + "\n"

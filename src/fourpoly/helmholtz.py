@@ -35,7 +35,7 @@ import cmath
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,30 +130,11 @@ def collocation_points(count: int) -> list[complex]:
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """Assembled 2M x N system; `matrix`/`rhs` stay unscaled.
-
-    After `scale_system`, `row_scale` holds the l1 norms of the rows and
-    `col_scale` the l1 norms of the columns of the row-normalized matrix, so
-    matrix/row_scale has unit rows and (matrix/row_scale)/col_scale has unit
-    columns.
-    """
+    """A 2M x N system, unscaled from `assemble_system` or equilibrated by
+    `scale_system`."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    row_scale: np.ndarray | None = None
-    col_scale: np.ndarray | None = None
-
-    @property
-    def scaled_matrix(self) -> np.ndarray:
-        if self.row_scale is None or self.col_scale is None:
-            raise ValueError("system has not been scaled")
-        return self.matrix / self.row_scale[:, None] / self.col_scale[None, :]
-
-    @property
-    def scaled_rhs(self) -> np.ndarray:
-        if self.row_scale is None:
-            raise ValueError("system has not been scaled")
-        return self.rhs / self.row_scale
 
 
 def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> CollocationSystem:
@@ -191,15 +172,21 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
     return CollocationSystem(rows, rhs)
 
 
-def scale_system(system: CollocationSystem) -> CollocationSystem:
-    """l1 equilibration: rows first, then columns of the row-normalized matrix."""
+def scale_system(system: CollocationSystem) -> tuple[CollocationSystem, np.ndarray]:
+    """l1 equilibration: rows first, then columns of the row-normalized matrix.
+
+    Returns the scaled system, whose matrix has unit l1 columns, and the
+    column norms, by which the scaled unknowns divide to give the original
+    ones.
+    """
     row_norms = np.sum(np.abs(system.matrix), axis=1)
     if np.any(row_norms == 0.0):
         raise DegenerateSystemError("degenerate system: zero row")
     col_norms = np.sum(np.abs(system.matrix) / row_norms[:, None], axis=0)
     if np.any(col_norms == 0.0):
         raise DegenerateSystemError("degenerate system: zero column")
-    return replace(system, row_scale=row_norms, col_scale=col_norms)
+    matrix = system.matrix / row_norms[:, None] / col_norms[None, :]
+    return CollocationSystem(matrix, system.rhs / row_norms), col_norms
 
 
 @dataclass(frozen=True)
@@ -250,18 +237,16 @@ def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport
     if point_count < max(1, -(-n_basis // 2)):
         raise ValueError("need at least ceil(N/2) collocation points")
     start = time.perf_counter()
-    system = scale_system(assemble_system(n_basis, collocation_points(point_count)))
-    matrix = system.scaled_matrix
-    rhs = system.scaled_rhs
-    scaled_solution, _, _, singular_values = np.linalg.lstsq(matrix, rhs, rcond=None)
-    solution = scaled_solution / system.col_scale
+    scaled, col_norms = scale_system(assemble_system(n_basis, collocation_points(point_count)))
+    scaled_solution, _, _, singular_values = np.linalg.lstsq(scaled.matrix, scaled.rhs, rcond=None)
+    solution = scaled_solution / col_norms
     imag_norm = float(np.linalg.norm(solution.imag))
     if imag_norm > 1e-8:
         # the underlying unknown is real; a large imaginary residue signals an
         # under-resolved (e.g. M = N/2) system, which is still allowed to run
         warnings.warn(f"imaginary part of coefficients has norm {imag_norm:.2e}", stacklevel=2)
     coefficients = solution.real.copy()
-    residual = float(np.linalg.norm(matrix @ scaled_solution - rhs))
+    residual = float(np.linalg.norm(scaled.matrix @ scaled_solution - scaled.rhs))
     cond = float(singular_values[0] / singular_values[-1]) if singular_values[-1] > 0 else math.inf
     expansion = NeumannExpansion(coefficients)
     report = SolveReport(

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -94,7 +95,7 @@ def regime_threshold(m: int) -> float:
 
 def zero_lambda_value(family: Family | str, m: int) -> Fraction:
     """Exact transform value at lam = 0."""
-    if m < 0:
+    if operator.index(m) < 0:
         raise ValueError("degree must be non-negative")
     if as_family(family) is Family.LEGENDRE:
         return Fraction(2) if m == 0 else Fraction(0)
@@ -265,7 +266,7 @@ def _value(kind: Family | str, m: int, lam: complex) -> complex:
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:
     """Finite Fourier transform of the degree-m polynomial, regime-selected."""
     fam = as_family(family)
-    if m < 0:
+    if operator.index(m) < 0:
         raise ValueError("degree must be non-negative")
     lam = complex(lam)
     if not cmath.isfinite(lam):
@@ -302,7 +303,7 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
         raise ValueError("kernel integral requires z != 0")
     if not cmath.isfinite(z):
         raise ValueError("z must be finite")
-    if m < 0:
+    if operator.index(m) < 0:
         raise ValueError("degree must be non-negative")
     return _value(_U, m - 1, 1j * z) if m else 0j
 

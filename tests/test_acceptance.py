@@ -117,9 +117,9 @@ def test_criterion_09_conditioning():
 def test_criterion_10_scaling_postconditions():
     worst = 0.0
     for n, m in ((8, 16), (16, 32), (24, 12)):
-        system = scale_system(assemble_system(n, collocation_points(m)))
-        row_normed = np.sum(np.abs(system.matrix / system.row_scale[:, None]), axis=1)
-        col_normed = np.sum(np.abs(system.scaled_matrix), axis=0)
+        scaled, col_norms = scale_system(assemble_system(n, collocation_points(m)))
+        row_normed = np.sum(np.abs(scaled.matrix * col_norms[None, :]), axis=1)
+        col_normed = np.sum(np.abs(scaled.matrix), axis=0)
         worst = max(worst, float(np.max(np.abs(row_normed - 1.0))))
         worst = max(worst, float(np.max(np.abs(col_normed - 1.0))))
     _line(10, worst <= 1e-14, f"row/column l1 norms after scaling deviate by {worst:.2e}")

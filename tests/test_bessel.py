@@ -76,3 +76,11 @@ def test_domain_errors():
         legendre_hat_via_bessel(2, 0.0)
     with pytest.raises(ValueError):
         bessel_half(-1, 1.0)
+    with pytest.raises(ValueError):
+        bessel_half(2, complex(math.inf, 0.0))
+    with pytest.raises(ValueError):
+        bessel_half(2, complex(0.0, math.nan))
+    with pytest.raises(TypeError):  # orders are integers, not integral floats
+        bessel_half(2.5, 0.0)
+    with pytest.raises(TypeError):
+        bessel_half(2.0, 1.0)

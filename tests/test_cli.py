@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from fourpoly import checks, transforms
+from fourpoly import checks, helmholtz, transforms
 from fourpoly.checks import CHECKS
-from fourpoly.cli import main
+from fourpoly.cli import main, run_study
 from fourpoly.complexfmt import format_complex, parse_complex
 from fourpoly.helmholtz import REPORT_CSV_HEADER
 from fourpoly.oracle import quad_transform
@@ -219,6 +219,27 @@ def test_study_row_count_and_determinism(capsys):
     code, out2, _ = run(capsys, "study", "--basis", "4", "--factors", "0.5,1,1.5,2")
     strip_seconds = lambda text: [l.rsplit(",", 1)[0] for l in text.strip().split("\n")]
     assert strip_seconds(out1) == strip_seconds(out2)
+
+
+def test_solve_rejects_empty_basis(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--basis", "0", "--points", "4"])
+    assert excinfo.value.code == 2
+
+
+def test_solve_failure_exits_1(capsys, monkeypatch):
+    def degenerate(n_basis, point_count):
+        raise helmholtz.DegenerateSystemError("degenerate system: zero column")
+
+    monkeypatch.setattr(helmholtz, "solve", degenerate)
+    code, out, err = run(capsys, "solve", "--basis", "4", "--points", "8")
+    assert code == 1 and out == ""
+    assert err == "error: degenerate system: zero column\n"
+
+
+def test_run_study_rejects_empty_basis_list():
+    with pytest.raises(ValueError, match="basis sizes must be positive"):
+        run_study([], [1.0])
 
 
 def test_study_rejects_non_positive_factor(capsys):

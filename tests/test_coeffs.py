@@ -6,8 +6,9 @@ import pytest
 
 from fourpoly.coeffs import (
     CSV_HEADER,
+    CoefficientTable,
     Family,
-    binom_clamped,
+    as_family,
     chebyshev_coeffs,
     coefficient_table,
     coefficients_csv,
@@ -21,14 +22,6 @@ def test_product_range_examples():
     assert product_range(2, 1, 5) == 1  # empty product
     assert product_range(1, 1, 1) == 1  # single factor 2(1-1)+1
     assert product_range(1, 3, 4) == 7 * 5 * 3
-
-
-def test_binom_clamped_examples():
-    assert binom_clamped(3, 5) == 0
-    assert binom_clamped(4, 0) == 1
-    assert binom_clamped(6, 2) == 15
-    assert binom_clamped(5, -1) == 0
-    assert binom_clamped(-2, 3) == 0
 
 
 def test_chebyshev_small_tables():
@@ -149,6 +142,16 @@ def test_negative_degree_rejected():
         chebyshev_coeffs(-1)
     with pytest.raises(ValueError):
         legendre_coeffs(-2)
+
+
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError, match="unknown polynomial family"):
+        as_family("hermite")
+
+
+def test_table_length_must_match_degree():
+    with pytest.raises(ValueError):
+        CoefficientTable(Family.LEGENDRE, 2, (1,))
 
 
 def test_csv_dump_format():

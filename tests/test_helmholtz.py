@@ -227,18 +227,25 @@ def test_assemble_rejects_zero_point():
         assemble_system(2, [1.0, 0.0])
 
 
+def test_assemble_rejects_empty_basis_or_points():
+    with pytest.raises(ValueError):
+        assemble_system(0, [1.0])
+    with pytest.raises(ValueError):
+        assemble_system(2, [])
+
+
 def test_small_system_has_full_numerical_rank():
-    system = scale_system(assemble_system(2, collocation_points(2)))
-    singular = np.linalg.svd(system.scaled_matrix, compute_uv=False)
+    scaled, _ = scale_system(assemble_system(2, collocation_points(2)))
+    singular = np.linalg.svd(scaled.matrix, compute_uv=False)
     assert singular[-1] > 1e-8
 
 
 def test_scaling_identity_unchanged():
     eye = CollocationSystem(np.eye(2, dtype=complex), np.ones(2, dtype=complex))
-    scaled = scale_system(eye)
-    assert np.allclose(scaled.row_scale, 1.0)
-    assert np.allclose(scaled.col_scale, 1.0)
-    assert np.array_equal(scaled.scaled_matrix, np.eye(2))
+    scaled, col_norms = scale_system(eye)
+    assert np.allclose(col_norms, 1.0)
+    assert np.array_equal(scaled.matrix, np.eye(2))
+    assert np.array_equal(scaled.rhs, np.ones(2))
 
 
 def test_scaling_uses_l1_norm_of_complex_entries():
@@ -246,18 +253,17 @@ def test_scaling_uses_l1_norm_of_complex_entries():
         np.array([[3.0, 4.0j]], dtype=complex),
         np.array([1.0 + 0j]),
     )
-    scaled = scale_system(system)
-    assert scaled.row_scale[0] == 7.0
+    scaled, _ = scale_system(system)
+    assert scaled.rhs[0] == 1.0 / 7.0
 
 
 def test_scaling_postconditions_on_real_system():
-    system = scale_system(assemble_system(8, collocation_points(16)))
-    row_normed = system.matrix / system.row_scale[:, None]
+    scaled, col_norms = scale_system(assemble_system(8, collocation_points(16)))
+    row_normed = scaled.matrix * col_norms[None, :]
     assert np.max(np.abs(np.sum(np.abs(row_normed), axis=1) - 1.0)) <= 1e-14
-    col_l1 = np.sum(np.abs(system.scaled_matrix), axis=0)
+    col_l1 = np.sum(np.abs(scaled.matrix), axis=0)
     assert np.max(np.abs(col_l1 - 1.0)) <= 1e-14
-    assert np.all(system.row_scale > 0)
-    assert np.all(system.col_scale > 0)
+    assert np.all(col_norms > 0)
 
 
 def test_scaling_degenerate_inputs():

@@ -45,6 +45,10 @@ def test_domain_errors():
         eval_legendre(3, np.array([0.0, -1.5]))
     with pytest.raises(ValueError):
         eval_legendre(-1, 0.0)
+    with pytest.raises(ValueError):
+        eval_chebyshev(-1, 0.0)
+    with pytest.raises(ValueError):
+        gauss_legendre_rule(0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 8, 40, 81, 160])

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
+import numpy as np
 import pytest
 
 from fourpoly.bessel import bessel_half
@@ -520,6 +521,29 @@ def test_evaluation_builds_no_paper_table():
             exp_cos_sine_integral(m, -1j * lam)
     assert chebyshev_coeffs.cache_info().misses == 0
     assert legendre_coeffs.cache_info().misses == 0
+
+
+def test_negative_degree_rejected():
+    with pytest.raises(ValueError):
+        transform_hat("legendre", -1, 1.0)
+    with pytest.raises(ValueError):
+        zero_lambda_value("chebyshev", -2)
+
+
+def test_non_integer_degree_is_type_error():
+    # an integral float is rejected as well: the degree indexes the recurrence
+    for m in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            legendre_hat(m, 0.0)
+        with pytest.raises(TypeError):
+            chebyshev_hat(m, 3.0)
+        with pytest.raises(TypeError):
+            zero_lambda_value("legendre", m)
+        with pytest.raises(TypeError):
+            exp_cos_sine_integral(m, 1.0)
+    # integer-like degrees keep working
+    assert legendre_hat(np.int64(3), 2.0) == legendre_hat(3, 2.0)
+    assert chebyshev_hat(True, 0.5) == chebyshev_hat(1, 0.5)
 
 
 def test_non_finite_argument_rejected():
