@@ -9,7 +9,8 @@ coefficient tables from `coeffs`; regime-aware transform evaluation from
 recurrence oracles from `oracle`; the invariant-check registry shared by
 `fourpoly verify` and the acceptance suite from `checks`; the boundary-value
 solver from `helmholtz`; the command-line interface from `cli`.  Importing
-the package, `coeffs`, `transforms` or `bessel` loads no numpy.
+the package, `coeffs`, `transforms`, `bessel` or `cli` loads no numpy, and
+neither do `fourpoly eval`, `bessel` and `coeffs`.
 """
 # kept because `bench/workloads.py` imports `parse_complex` from the package
 from .complexfmt import parse_complex  # noqa: F401

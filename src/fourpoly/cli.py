@@ -2,6 +2,7 @@
 sweeps, single solves and convergence/conditioning studies with CSV output.
 
 Exit codes: 0 success, 1 check or solve failure, 2 usage/IO error.
+`helmholtz` and `checks` (so numpy) load only in the commands that use them.
 """
 from __future__ import annotations
 
@@ -9,9 +10,7 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import bessel, checks, helmholtz, transforms
+from . import bessel, transforms
 from .coeffs import Family, coefficient_table, coefficients_csv
 from .complexfmt import format_complex, parse_complex
 
@@ -20,8 +19,10 @@ __all__ = ["main", "run_study"]
 DEFAULT_FACTORS = (0.5, 1.0, 1.5, 2.0)
 
 
-def run_study(basis_sizes: list[int], factors: list[float]) -> list[helmholtz.SolveReport]:
-    """Solve once for every basis size N and point count max(1, round(factor * N))."""
+def run_study(basis_sizes: list[int], factors: list[float]) -> list:
+    """The `helmholtz.SolveReport` of one solve for every basis size N and
+    point count max(1, round(factor * N))."""
+    from . import helmholtz
     if not basis_sizes or any(n < 1 for n in basis_sizes):
         raise ValueError("basis sizes must be positive")
     if not factors or any(f <= 0 for f in factors):
@@ -60,6 +61,7 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
     results = checks.run_checks(args.max_m)
     ok = all(result.passed(args.tol) for result in results)
     for result in results:
@@ -70,11 +72,13 @@ def _cmd_verify(args) -> int:
 
 
 def _reports_csv(reports) -> str:
+    from . import helmholtz
     lines = [helmholtz.REPORT_CSV_HEADER] + [r.csv_row() for r in reports]
     return "\n".join(lines) + "\n"
 
 
 def _cmd_solve(args) -> int:
+    from . import helmholtz
     _, report = helmholtz.solve(args.basis, args.points)
     _write_text(args.out, _reports_csv([report]))
     return 0
@@ -157,16 +161,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solver_errors() -> tuple[type[Exception], ...]:
+    """The errors that exit 1; numpy's and the solver's need their module loaded."""
+    numpy, helmholtz = sys.modules.get("numpy"), sys.modules.get("fourpoly.helmholtz")
+    linalg = (numpy.linalg.LinAlgError,) if numpy else ()
+    return (RuntimeError, *linalg, *((helmholtz.DegenerateSystemError,) if helmholtz else ()))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (np.linalg.LinAlgError, RuntimeError, helmholtz.DegenerateSystemError) as exc:
+    except (RuntimeError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _solver_errors()) else 2
 
 
 if __name__ == "__main__":

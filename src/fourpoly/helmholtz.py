@@ -210,6 +210,8 @@ class SolveReport:
     cond: float
     residual_norm: float
     seconds: float
+    rank: int  # of the scaled matrix, from lstsq; this and imag_norm are not in the CSV row
+    imag_norm: float  # norm of the imaginary part dropped from the coefficients
 
     def csv_row(self) -> str:
         return (
@@ -238,7 +240,7 @@ def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport
         raise ValueError("need at least ceil(N/2) collocation points")
     start = time.perf_counter()
     scaled, col_norms = scale_system(assemble_system(n_basis, collocation_points(point_count)))
-    scaled_solution, _, _, singular_values = np.linalg.lstsq(scaled.matrix, scaled.rhs, rcond=None)
+    scaled_solution, _, rank, singular_values = np.linalg.lstsq(scaled.matrix, scaled.rhs, rcond=None)
     solution = scaled_solution / col_norms
     imag_norm = float(np.linalg.norm(solution.imag))
     if imag_norm > 1e-8:
@@ -256,5 +258,7 @@ def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport
         cond=cond,
         residual_norm=residual,
         seconds=time.perf_counter() - start,
+        rank=int(rank),
+        imag_norm=imag_norm,
     )
     return expansion, report

@@ -319,4 +319,8 @@ def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
         raise ValueError("kernel route requires lam != 0")
     sign = -1.0 if m % 2 else 1.0
     kernel = exp_cos_sine_integral(m, -1j * lam)
-    return (cmath.exp(1j * lam) * sign - cmath.exp(-1j * lam) + m * kernel) / (1j * lam)
+    if abs(lam.imag) <= 700.0:
+        return (cmath.exp(1j * lam) * sign - cmath.exp(-1j * lam) + m * kernel) / (1j * lam)
+    # e^{+-i lam} and m * kernel may overflow before the division: divide first
+    w, plus, minus = 1.0 / (1j * lam), cmath.exp(0.5j * lam), cmath.exp(-0.5j * lam)
+    return plus * (plus * w) * sign - minus * (minus * w) + kernel * w * m

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 from fourpoly import checks, helmholtz, transforms
@@ -235,6 +236,22 @@ def test_solve_failure_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "--basis", "4", "--points", "8")
     assert code == 1 and out == ""
     assert err == "error: degenerate system: zero column\n"
+
+
+def test_solve_linear_algebra_failure_exits_1(capsys, monkeypatch):
+    def no_convergence(n_basis, point_count):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(helmholtz, "solve", no_convergence)
+    code, out, err = run(capsys, "solve", "--basis", "4", "--points", "8")
+    assert code == 1 and out == ""
+    assert err == "error: SVD did not converge\n"
+
+
+def test_solve_too_few_points_is_usage_error(capsys):
+    code, out, err = run(capsys, "solve", "--basis", "20", "--points", "5")
+    assert code == 2 and out == ""
+    assert err == "error: need at least ceil(N/2) collocation points\n"
 
 
 def test_run_study_rejects_empty_basis_list():

@@ -300,6 +300,16 @@ def test_solver_accuracy_progression():
     assert errors[4] > errors[8] > errors[12] > errors[20]
 
 
+def test_report_states_numerical_rank():
+    _, report = solve(20, 40)
+    assert report.rank == 20
+
+
+def test_report_states_imaginary_residue():
+    _, report = solve(20, 40)
+    assert math.isfinite(report.imag_norm) and report.imag_norm <= 1e-8
+
+
 def test_solver_requires_enough_points():
     with pytest.raises(ValueError):
         solve(4, 1)

@@ -31,6 +31,27 @@ assert "numpy" not in sys.modules
 """
 
 
+_CLI = """
+import sys
+from fourpoly.cli import main
+
+assert main(sys.argv[2:]) == 0
+assert ("numpy" in sys.modules) == (sys.argv[1] == "numpy")
+"""
+
+
+def _run_python(*args):
+    src = str(Path(fourpoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"fourpoly.{name}")
@@ -40,13 +61,19 @@ def test_every_exported_name_resolves(name):
 
 
 def test_evaluator_imports_without_numpy():
-    src = str(Path(fourpoly.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", _EVALUATE_WITHOUT_NUMPY],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = _run_python("-c", _EVALUATE_WITHOUT_NUMPY)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "loads, argv",
+    [
+        ("no-numpy", ["eval", "--family", "legendre", "--m", "5", "--lambda", "7"]),
+        ("no-numpy", ["bessel", "--m", "2", "--lambda", "3-1i"]),
+        ("no-numpy", ["coeffs", "--family", "chebyshev", "--m", "40"]),
+        ("numpy", ["verify", "--max-m", "2"]),  # so that the other cases cannot pass vacuously
+    ],
+)
+def test_cli_loads_numpy_only_for_the_solver_and_checks(loads, argv):
+    done = _run_python("-c", _CLI, loads, *argv)
     assert done.returncode == 0, done.stderr

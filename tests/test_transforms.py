@@ -487,11 +487,13 @@ def test_exponential_overflow_raises_range_error():
 
 
 def test_only_non_finite_values_raise_overflow_error():
-    # e^{+-i lam} (closed form) and sin, cos (recurrence, m = 800) pass the
-    # double range before the value does; references from 30-digit mpmath
+    # e^{+-i lam} (closed form, kernel route) and sin, cos (recurrence, m = 800)
+    # pass the double range before the value does; references from 30-digit mpmath
     cases = [
         (lambda: legendre_hat(3, 710j).value, 3.1199750961627040e305),
         (lambda: chebyshev_hat(3, -710j).value, -3.1067362428799814e305),
+        (lambda: chebyshev_hat_via_kernel(3, -710j), -3.1067362428799814e305),
+        (lambda: chebyshev_hat_via_kernel(3, 710j), 3.1067362428799814e305),
         (lambda: bessel_half(3, 710j), 2.3451756152565601501e306 * (1 - 1j)),
         (lambda: exp_cos_sine_integral(3, 710), 9.4040112389747350e305),
         (lambda: legendre_hat(0, 710j).value, 3.1464715016362125e305),
