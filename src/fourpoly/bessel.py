@@ -25,7 +25,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def bessel_half(m: int, lam: complex) -> complex:
-    """J_{m+1/2}(lam) for complex lam; J_{m+1/2}(0) = 0."""
+    """J_{m+1/2}(lam) for complex lam; J_{m+1/2}(0) = 0.  A value that is
+    not finite raises `OverflowError`."""
     if operator.index(m) < 0:
         raise ValueError("order index must be non-negative")
     lam = complex(lam)
@@ -33,7 +34,10 @@ def bessel_half(m: int, lam: complex) -> complex:
         raise ValueError("lam must be finite")
     if lam == 0:
         return 0j
-    return _I_POW[m % 4] * cmath.sqrt(lam) / _SQRT_2PI * legendre_hat(m, lam).value
+    value = _I_POW[m % 4] * cmath.sqrt(lam) / _SQRT_2PI * legendre_hat(m, lam).value
+    if not cmath.isfinite(value):  # the factor sqrt(lam) can take a finite transform beyond the range
+        raise OverflowError(f"J_(m+1/2) beyond the double range at m={m}, lam={lam}")
+    return value
 
 
 def legendre_hat_via_bessel(m: int, lam: complex) -> complex:

@@ -68,7 +68,7 @@ def _paper_tables(max_m: int) -> Residuals:
     for fam in Family:
         for m in range(max_m + 1):
             table = (1, *coeffs.coefficient_table(fam, m).coeffs)  # c_0 = 1, so c_1 is the first ratio
-            steps = zip(table, table[1:], transforms.closed_form_ratios(fam, m))
+            steps = zip(table, table[1:], transforms.closed_form_ratios(transforms._TWO_ALPHA[fam], m))
             yield float(not all(c * den == prev * num for prev, c, (num, den) in steps)), f"({fam.value}, m={m})"
 
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import Family
-from .transforms import _recurrence, legendre_hat, zero_lambda_value
+# legendre_hat is unused here, but bench/tracing.py re-binds `helmholtz.legendre_hat`
+from .transforms import _recurrence, legendre_hat, zero_lambda_value  # noqa: F401
 
 __all__ = [
     "SQRT3",
@@ -48,7 +49,6 @@ __all__ = [
     "dirichlet_trace",
     "exact_neumann",
     "dirichlet_hat",
-    "neumann_hat_column",
     "collocation_points",
     "CollocationSystem",
     "assemble_system",
@@ -99,20 +99,13 @@ def dirichlet_hat(lam: complex) -> complex:
     return math.cosh(1.0) * _cosh_integral(a, SQRT3) + math.cosh(SQRT3) * _cosh_integral(a, 1.0)
 
 
-def neumann_hat_column(basis_index: int, lam: complex) -> complex:
-    """Contribution of Legendre mode `basis_index` to N(lam)."""
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("boundary transform requires lam != 0")
-    return legendre_hat(basis_index, 1j * (lam + 1.0 / lam)).value
-
-
 def _neumann_hat_columns(n_basis: int, lam: complex) -> np.ndarray:
-    """`neumann_hat_column(k, lam)` for every k < n_basis, from one degree sweep."""
+    """The contribution of each Legendre mode k < n_basis to N(lam), the
+    transform of P_k at mu = i(lam + 1/lam), from one degree sweep."""
     mu = 1j * (lam + 1.0 / lam)
     if mu == 0:  # lam = +-i, where the -i lam sweep of the point lam = 1 lands
         return np.array([float(zero_lambda_value(Family.LEGENDRE, k)) for k in range(n_basis)], dtype=complex)
-    return np.array(_recurrence(Family.LEGENDRE, n_basis - 1, mu, 0))
+    return np.array(_recurrence(1, n_basis - 1, mu, 0))  # a = 1: Legendre
 
 
 def collocation_points(count: int) -> list[complex]:

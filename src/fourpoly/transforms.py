@@ -1,8 +1,10 @@
 """Numerically stable evaluation of the finite Fourier transforms
 
-    int_{-1}^{1} e^{-i lam x} T_m(x) dx   and   int_{-1}^{1} e^{-i lam x} P_m(x) dx
+    F_m(lam) = int_{-1}^{1} e^{-i lam x} p_m(x) dx
 
-for complex lam, with three regimes:
+for complex lam, where p_m is the Gegenbauer polynomial C^(alpha)_m scaled to
+p_m(1) = 1, with a = 2 alpha: T_m at a = 0, P_m at a = 1 and U_m/(m+1) at
+a = 2 (DLMF 18.9).  There are three regimes:
 
 * lam == 0: exact rational value,
 * |lam| >= max(1, m): the explicit closed form, summed term by term,
@@ -11,38 +13,43 @@ for complex lam, with three regimes:
 
 The closed form sum_n c_n [e^{i lam} + (-1)^(n+m) e^{-i lam}] (i lam)^-n reads
 none of the paper's integer tables (`coeffs`): as c_n = (-1)^(m+n+1)
-p_m^(n-1)(1), each term is the one before it times a small rational over
-i lam.  Its largest term grows like (2m-1)!!/|lam|^(m+1), so below |lam| ~ m
-it cancels catastrophically in doubles.  Above the threshold its part-sums can
-still cancel (near the imaginary axis, and for larger m up to |lam| ~ 3m);
-where they do, or where a term leaves the double range, the recurrence, whose
-cost grows with |lam|, takes over.  A non-finite value raises `OverflowError`.
+p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
 
-The recurrence comes from integrating by parts the derivative identities
-(2k+1) P_k = P'_{k+1} - P'_{k-1}, 2 T_k = T'_{k+1}/(k+1) - T'_{k-1}/(k-1)
-and 2 U_k = (U'_{k+1} - U'_{k-1})/(k+1).  For F_k, the transform of the
-degree-k polynomial p_k, this gives for k >= 1
+    r_n = c_{n+1}/c_n = -(m-n+1)(m+n-1+a)/(2n-1+a)
 
-    a_k F_k - i lam (alpha_k F_{k+1} - beta_k F_{k-1}) = d_k B_{k+1},
-    d_k = alpha_k p_{k+1}(1) - beta_k p_{k-1}(1),
+over i lam.  Its largest term grows like (2m-1)!!/|lam|^(m+1), so below
+|lam| ~ m it cancels catastrophically in doubles.  Above the threshold its
+part-sums can still cancel (near the imaginary axis, and for larger m up to
+|lam| ~ 3m); where they do, or where a term leaves the double range, the
+recurrence, whose cost grows with |lam|, takes over.  A non-finite value
+raises `OverflowError`.
+
+The recurrence comes from integrating by parts the derivative identity
+p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
+and beta_k = k/((k+a-1)(2k+a)).  For k >= 1 this gives
+
+    F_k - i lam (alpha_k F_{k+1} - beta_k F_{k-1}) = d_k B_{k+1},
+    d_k = alpha_k - beta_k = (a-1)/((k+1)(k+a-1)),
     B_j = e^{-i lam} - (-1)^j e^{i lam},   F_0 = 2 sin(lam) / lam,
 
-with a = 2k+1, alpha = beta = 1 for Legendre, a = 2, alpha = 1/(k+1),
-beta = 1/(k-1) (beta_1 = 0) for Chebyshev and a = 2, alpha = beta = 1/(k+1)
-for U.  Once k > |lam| the other solutions grow factorially and F_k does
-not, so it is computed by Olver's algorithm (F. W. J. Olver, J. Res. NBS
-71B, 1967): forward elimination from an exact anchor, then back substitution
-from a truncation point chosen by the algorithm's own error estimate.  An
-anchor where the minimal solution is small loses F_m (Legendre at lam = n pi,
-where F_0 = 0), so where that solution is larger at degree 1 and |lam| > 1,
-the anchor is F_1 = i(2 cos lam - F_0)/lam, or twice that for U.
+except at a = 0, k = 1, where T_1 = T'_2/4 gives (1/4, 0, 1/4).  Each
+coefficient is one division of exact integers, so it is the double nearest
+its rational value.  Once k > |lam| the other solutions grow factorially and
+F_k does not, so it is computed by Olver's algorithm (F. W. J. Olver, J. Res.
+NBS 71B, 1967): forward elimination from an exact anchor, then back
+substitution from a truncation point chosen by the algorithm's own error
+estimate.  An anchor where the minimal solution is small loses F_m (Legendre
+at lam = n pi, where F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4)
+at F_0 (at a = 0, row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at
+F_1, so where the second is larger and |lam| > 1 the anchor is
+F_1 = i(2 cos lam - F_0)/lam, the transform of p_1 = x.
 
 The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
 integration-by-parts route to the Chebyshev transform is, with x = cos w,
 the transform of U_{m-1}, the Chebyshev polynomial of the second kind, at
-lam = iz.  It runs through the same closed form, recurrence and dispatch; its
-ratios come from the derivatives of U_k at x = 1, so the route checks the
-T_m ratios against an independent identity.
+lam = iz: m times F_{m-1} at a = 2.  It runs through the same closed form,
+recurrence and dispatch; its ratios come from the derivatives of U_k at
+x = 1, so the route checks the T_m ratios against an independent identity.
 """
 from __future__ import annotations
 
@@ -112,21 +119,18 @@ def zero_lambda_value(family: Family | str, m: int) -> Fraction:
 # the part-sums P and Q have cancelled too far for double accumulation.
 _CANCEL_LIMIT = 256.0
 
-_U = "U"  # ratio and row key of U_k; not a `Family`, so no command or check sees it
+# a = 2 alpha of each family; a = 2 (U_k/(k+1)) serves only the kernel
+_TWO_ALPHA = {Family.CHEBYSHEV: 0, Family.LEGENDRE: 1}
 
 
 @lru_cache(maxsize=256)
-def closed_form_ratios(kind: Family | str, m: int) -> tuple[tuple[int, int], ...]:
+def closed_form_ratios(a: int, m: int) -> tuple[tuple[int, int], ...]:
     """c_1, then r_n = c_{n+1}/c_n for n = 1..m, as (numerator, denominator);
     r_n is minus the ratio of consecutive derivatives of p_m at x = 1."""
-    if kind is Family.LEGENDRE:
-        return ((-1) ** m, 1), *((-(m + n) * (m - n + 1), 2 * n) for n in range(1, m + 1))
-    if kind == _U:
-        return ((-1) ** m * (m + 1), 1), *((n * n - (m + 1) ** 2, 2 * n + 1) for n in range(1, m + 1))
-    return ((-1) ** m, 1), *(((n - 1) ** 2 - m * m, 2 * n - 1) for n in range(1, m + 1))
+    return ((-1) ** m, 1), *((-(m - n + 1) * (m + n - 1 + a), 2 * n - 1 + a) for n in range(1, m + 1))
 
 
-def _closed_form(kind: Family | str, m: int, lam: complex) -> tuple[complex, float]:
+def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     """Closed-form value and the cancellation ratio of its part-sums.
 
     For real lam, w = 1/(i lam) is purely imaginary and every product keeps
@@ -143,7 +147,7 @@ def _closed_form(kind: Family | str, m: int, lam: complex) -> tuple[complex, flo
     part_plus = 0j  # P = sum c_n w^n, multiplies e^{i lam}
     part_minus = 0j  # Q = sum (-1)^(n+m) c_n w^n, multiplies e^{-i lam}
     magnitude = 0.0
-    for num, den in closed_form_ratios(kind, m):
+    for num, den in closed_form_ratios(a, m):
         term *= num / den * w
         part_plus += term
         part_minus += sign * term
@@ -162,25 +166,18 @@ def _closed_form(kind: Family | str, m: int, lam: complex) -> tuple[complex, flo
 # ---------------------------------------------------------------------------
 
 
-# The minimal solution goes like sin(lam - phase) at the first anchor and like cos(lam - phase)
-# at F_1: j_0 and j_1 for Legendre, J_0 (row 1) and J_1 for Chebyshev, J_1 and J_2 for U.
-_ANCHOR_PHASE = {Family.LEGENDRE: 0.0, Family.CHEBYSHEV: -math.pi / 4, _U: math.pi / 4}
-
-
 @lru_cache(maxsize=None)
-def _rows(kind: Family | str, size: int) -> tuple[tuple[float, float, float], ...]:
-    """(alpha_k, beta_k, d_k) / a_k for k < size; row 0 is unused."""
-    if kind is Family.LEGENDRE:
-        return tuple((1.0 / (2 * k + 1), 1.0 / (2 * k + 1), 0.0) for k in range(size))
-    if kind == _U:
-        # a_k = 2, alpha_k = beta_k = 1/(k+1), d_k = ((k+2) - k)/(k+1)
-        return tuple((0.5 / (k + 1), 0.5 / (k + 1), 1.0 / (k + 1)) for k in range(size))
-    # a_k = 2; alpha_k = 1/(k+1), beta_k = 1/(k-1), except beta_1 = 0 (T'_0 = 0)
-    head = ((0.0, 0.0, 0.0), (0.25, 0.0, 0.25))
-    return head + tuple((0.5 / (k + 1), 0.5 / (k - 1), -1.0 / (k * k - 1)) for k in range(2, size))
+def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
+    """(alpha_k, beta_k, d_k) for k < size; row 0 is unused, and at a = 0
+    row 1 is (1/4, 0, 1/4) because T'_0 = 0."""
+    head = ((0.0, 0.0, 0.0), (0.25, 0.0, 0.25)) if a == 0 else ((0.0, 0.0, 0.0),)
+    return head + tuple(
+        ((k + a) / ((k + 1) * (2 * k + a)), k / ((k + a - 1) * (2 * k + a)), (a - 1) / ((k + 1) * (k + a - 1)))
+        for k in range(len(head), size)
+    )
 
 
-def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[complex]:
+def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     """F_low ... F_m (low <= m) from the degree recurrence in the module docstring.
 
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  It stops
@@ -203,11 +200,11 @@ def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[comp
     alam = abs(lam)
     tol = 1e-17 * min(1.0, alam)
     size = 2 * math.ceil(max(m, alam)) + 64
-    rows = _rows(kind, 1 << (size - 1).bit_length())
+    rows = _rows(a, 1 << (size - 1).bit_length())
     folded = complex(abs(lam.real), abs(lam.imag))  # the same anchor at lam, -lam and conj(lam)
     g, h, start = f, 0j, 1  # the anchor (module docstring): F_0, or row 1 is F_1 = g_1 with h_1 = 0
-    if alam > 1.0 and abs(cmath.tan(folded - _ANCHOR_PHASE[kind])) < 1.0:
-        g, start = (2j if kind == _U else 1j) * (drive[0] - f) / lam, 2  # U_1 = 2x
+    if alam > 1.0 and abs(cmath.tan(folded - (a - 1) * math.pi / 4)) < 1.0:
+        g, start = 1j * (drive[0] - f) / lam, 2
     gs, hs = [f, g][low:start], [h, h][low:start]  # rows 0 (and 1), kept for a sweep from below
     reach = 1.0
     for k in range(start, size):
@@ -251,13 +248,16 @@ def _recurrence(kind: Family | str, m: int, lam: complex, low: int) -> list[comp
 # ---------------------------------------------------------------------------
 
 
-def _value(kind: Family | str, m: int, lam: complex) -> complex:
+def _value(a: int, m: int, lam: complex) -> complex:
     """F_m at lam != 0: the closed form at or above `regime_threshold(m)`
-    unless its part-sums cancel, the degree recurrence otherwise.  A value
-    that is not finite raises `OverflowError`."""
-    value, cancellation = _closed_form(kind, m, lam) if abs(lam) >= regime_threshold(m) else (0j, math.inf)
+    unless its part-sums cancel, the degree recurrence otherwise."""
+    value, cancellation = _closed_form(a, m, lam) if abs(lam) >= regime_threshold(m) else (0j, math.inf)
     if not cancellation <= _CANCEL_LIMIT:  # NaN too: a term beyond the double range (m >~ 1500)
-        value = _recurrence(kind, m, lam, m)[0]
+        value = _recurrence(a, m, lam, m)[0]
+    return value
+
+
+def _finite(value: complex, m: int, lam: complex) -> complex:
     if not cmath.isfinite(value):
         raise OverflowError(f"transform value beyond the double range at m={m}, lam={lam}")
     return value
@@ -274,7 +274,7 @@ def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult
     if lam == 0:
         return TransformResult(complex(float(zero_lambda_value(fam, m))), EvalPath.ZERO_LAMBDA)
     path = EvalPath.CLOSED_FORM if abs(lam) >= regime_threshold(m) else EvalPath.SMALL_LAMBDA_SERIES
-    return TransformResult(_value(fam, m, lam), path)
+    return TransformResult(_finite(_value(_TWO_ALPHA[fam], m, lam), m, lam), path)
 
 
 def chebyshev_hat(m: int, lam: complex) -> TransformResult:
@@ -305,7 +305,8 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
         raise ValueError("z must be finite")
     if operator.index(m) < 0:
         raise ValueError("degree must be non-negative")
-    return _value(_U, m - 1, 1j * z) if m else 0j
+    # the factor m can take a finite F_{m-1} beyond the double range
+    return _finite(m * _value(2, m - 1, 1j * z), m - 1, 1j * z) if m else 0j
 
 
 def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
@@ -319,8 +320,6 @@ def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
         raise ValueError("kernel route requires lam != 0")
     sign = -1.0 if m % 2 else 1.0
     kernel = exp_cos_sine_integral(m, -1j * lam)
-    if abs(lam.imag) <= 700.0:
-        return (cmath.exp(1j * lam) * sign - cmath.exp(-1j * lam) + m * kernel) / (1j * lam)
     # e^{+-i lam} and m * kernel may overflow before the division: divide first
     w, plus, minus = 1.0 / (1j * lam), cmath.exp(0.5j * lam), cmath.exp(-0.5j * lam)
-    return plus * (plus * w) * sign - minus * (minus * w) + kernel * w * m
+    return _finite(plus * (plus * w) * sign - minus * (minus * w) + kernel * w * m, m, lam)

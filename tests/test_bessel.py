@@ -84,3 +84,16 @@ def test_domain_errors():
         bessel_half(2.5, 0.0)
     with pytest.raises(TypeError):
         bessel_half(2.0, 1.0)
+
+
+def test_values_beyond_double_range_raise_overflow_error():
+    # the transform is finite at each point; the factor sqrt(lam) or its
+    # product with it is not
+    with pytest.raises(OverflowError):
+        bessel_half(0, 715j)  # J_{1/2}(715i) ~ 3.5e308 (1 + i)
+    with pytest.raises(OverflowError):
+        bessel_half(174, 96 - 736j)
+    with pytest.raises(OverflowError):
+        legendre_hat_via_bessel(0, 716j)
+    reference = 4.7404099397002216e307 * (1 + 1j)  # 30-digit mpmath besselj(0.5, 713j)
+    assert abs(bessel_half(0, 713j) - reference) <= 1e-13 * abs(reference)

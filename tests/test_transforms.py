@@ -22,7 +22,6 @@ from fourpoly.transforms import (
     regime_threshold,
     transform_hat,
     zero_lambda_value,
-    _U,
     _closed_form,
     _recurrence,
     _value,
@@ -31,6 +30,9 @@ from fourpoly.transforms import (
 from fourpoly.coeffs import coefficient_table
 
 FAMILIES = list(Family)
+FAMILY_OF = {0: Family.CHEBYSHEV, 1: Family.LEGENDRE}
+# the evaluator's ultraspherical parameter a = 2 alpha: T_k, P_k and U_k/(k+1)
+EACH_A = pytest.mark.parametrize("a", [0, 1, 2], ids=["chebyshev", "legendre", "U"])
 
 # directions x magnitudes spanning real, imaginary and generic complex values
 DIRECTIONS = [1.0, -1.0, 1j, (1 + 1j) / abs(1 + 1j), (3 - 2j) / abs(3 - 2j)]
@@ -140,7 +142,7 @@ def u_table(k):
 
 
 def exact_closed_form(family, m, lam):
-    """Closed form over the exact integer table (`u_table` for `_U`),
+    """Closed form over the exact integer table (`u_table` at a = 2),
     summed in 60-digit mpmath.
 
     Quadrature is no reference here: near the imaginary axis its own error
@@ -151,7 +153,7 @@ def exact_closed_form(family, m, lam):
         z = mpmath.mpc(lam.real, lam.imag)
         e_plus, e_minus, w = mpmath.exp(1j * z), mpmath.exp(-1j * z), 1 / (1j * z)
         total = mpmath.mpc(0)
-        coeffs = u_table(m) if family == _U else coefficient_table(family, m).coeffs
+        coeffs = u_table(m) if family == 2 else coefficient_table(family, m).coeffs
         for n, c in enumerate(coeffs, start=1):
             total += c * (e_plus + (-1) ** (n + m) * e_minus) * w**n
         return complex(total)
@@ -210,7 +212,7 @@ def test_degree_160_matches_exact_closed_form():
     cases = [
         (legendre_hat(160, 161.0).value, Family.LEGENDRE),
         (chebyshev_hat(160, 161.0).value, Family.CHEBYSHEV),
-        (exp_cos_sine_integral(161, -161j), _U),  # U_160 at lam = 161
+        (exp_cos_sine_integral(161, -161j), 2),  # U_160 at lam = 161
     ]
     for value, family in cases:
         reference = exact_closed_form(family, 160, 161 + 0j)
@@ -277,35 +279,36 @@ def test_chebyshev_spike_and_kernel_points_match_exact_closed_form():
     for k in range(10, 40):
         for lam in (25.3, 31.7, 38.474):
             reference = exact_real_closed_form(u_table(k), k, lam)
-            assert abs(_value(_U, k, lam) - reference) <= 1e-13 * (1 + abs(reference)), (k, lam)
+            value = exp_cos_sine_integral(k + 1, -1j * lam)
+            assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (k, lam)
 
 
-@pytest.mark.parametrize("kind", FAMILIES + [_U])
-def test_zeros_of_bessel_j_match_exact_closed_form(kind):
+@EACH_A
+def test_zeros_of_bessel_j_match_exact_closed_form(a):
     # the minimal solutions go like J_0, J_1 (Chebyshev) and J_1, J_2 (U) at
     # the two anchors; each must be avoided where it vanishes
     special = pytest.importorskip("scipy.special")
     for m in (20, 80):
-        coeffs = u_table(m) if kind == _U else coefficient_table(kind, m).coeffs
+        coeffs = u_table(m) if a == 2 else coefficient_table(FAMILY_OF[a], m).coeffs
         for order in (0, 1, 2):
             for lam in special.jn_zeros(order, 80):
                 if 1.0 < lam < 2.5 * m:
                     reference = exact_real_closed_form(coeffs, m, float(lam))
-                    value = _value(kind, m, float(lam))
-                    assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (kind, m, order, lam)
+                    value = exp_cos_sine_integral(m + 1, -1j * float(lam)) if a == 2 else _value(a, m, float(lam))
+                    assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (a, m, order, lam)
 
 
-@pytest.mark.parametrize("kind", FAMILIES + [_U])
-def test_anchor_choice_keeps_parity_and_conjugation_exact(kind):
+@EACH_A
+def test_anchor_choice_keeps_parity_and_conjugation_exact(a):
     # F(-lam) = (-1)^m F(lam) and F(-conj(lam)) = conj(F(lam)) hold exactly
     # only if lam, -lam and -conj(lam) get the same anchor
     rng = random.Random(3)
     for _ in range(200):
         m = rng.randint(1, 60)
         lam = rng.uniform(1, 2.5 * m + 2) * cmath.exp(1j * rng.choice([0.0, rng.uniform(0, math.pi / 2)]))
-        value = _value(kind, m, lam)
-        assert _value(kind, m, -lam) == (-1) ** m * value, (kind, m, lam)
-        assert _value(kind, m, -lam.conjugate()) == value.conjugate(), (kind, m, lam)
+        value = _value(a, m, lam)
+        assert _value(a, m, -lam) == (-1) ** m * value, (a, m, lam)
+        assert _value(a, m, -lam.conjugate()) == value.conjugate(), (a, m, lam)
 
 
 def test_bessel_at_four_pi_matches_scipy():
@@ -328,14 +331,14 @@ def sweep_points():
     return [mu for mu in points if mu != 0]
 
 
-@pytest.mark.parametrize("kind", FAMILIES + [_U])
-def test_sweep_from_degree_zero_matches_scalar_path(kind):
+@EACH_A
+def test_sweep_from_degree_zero_matches_scalar_path(a):
     for mu in sweep_points():
-        swept = _recurrence(kind, 63, mu, 0)
+        swept = _recurrence(a, 63, mu, 0)
         assert len(swept) == 64
         for k, value in enumerate(swept):
-            reference = _value(kind, k, mu)
-            assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (kind, k, mu)
+            reference = _value(a, k, mu)
+            assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (a, k, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +433,16 @@ def test_kernel_checks_pass_to_degree_64():
     assert run_check("kernel_route", 64).worst <= 1e-10
 
 
-def exact_ratio_table(kind, m):
+def exact_ratio_table(a, m):
     """c_1 .. c_{m+1} as exact running products of the evaluator's ratios."""
-    return list(accumulate((Fraction(*r) for r in closed_form_ratios(kind, m)), mul))
+    return list(accumulate((Fraction(*r) for r in closed_form_ratios(a, m)), mul))
 
 
 def test_u_table_is_the_chebyshev_table_integrated_by_parts():
-    # T_m' = m U_{m-1}, so c_{n+1}(T_m) = m c_n(U_{m-1}), exactly in integers
+    # T_m' = m U_{m-1}, so c_{n+1}(T_m) = m c_n(U_{m-1}), exactly in integers;
+    # the evaluator's ratios at a = 2 give the table of U_{m-1}/m
     for m in range(1, 65):
-        table, coeffs = exact_ratio_table(_U, m - 1), chebyshev_coeffs(m).coeffs
+        table, coeffs = [m * c for c in exact_ratio_table(2, m - 1)], chebyshev_coeffs(m).coeffs
         assert list(u_table(m - 1)) == table, m
         assert all(table[n - 1] * m == coeffs[n] for n in range(1, m + 1)), m
 
@@ -460,7 +464,7 @@ def test_kernel_route_examples():
     assert abs(chebyshev_hat_via_kernel(1, 1.0) - chebyshev_hat(1, 1.0).value) <= 1e-12
     lam = 0.5 - 2j
     via = chebyshev_hat_via_kernel(4, lam)
-    forced, _ = _closed_form(Family.CHEBYSHEV, 4, lam)
+    forced, _ = _closed_form(0, 4, lam)
     reference = quad_transform("chebyshev", 4, lam)
     assert abs(via - forced) <= 1e-9 * abs(reference)
     assert abs(via - reference) <= 1e-9 * (1 + abs(reference))
@@ -503,12 +507,19 @@ def test_only_non_finite_values_raise_overflow_error():
         assert abs(case() - reference) <= 1e-13 * abs(reference), reference
     with pytest.raises(OverflowError):  # about 6.8e309
         legendre_hat(0, 720j)
+    # K = m F_{m-1} at a = 2: the factor m takes these beyond the double range
+    with pytest.raises(OverflowError):
+        exp_cos_sine_integral(120, 715.7)
+    with pytest.raises(OverflowError):
+        chebyshev_hat_via_kernel(155, 715.66j)
+    with pytest.raises(OverflowError):  # K(0, z) = 0, and e^{+-i lam} / (i lam) is beyond the range
+        chebyshev_hat_via_kernel(0, 717j)
 
 
 def test_closed_form_terms_beyond_double_range_fall_to_recurrence():
     # the largest term at m = 2000, lam = 2000 is ~10^400: the closed form is
     # NaN, fails the cancellation test, and the recurrence gives the value
-    _, cancellation = _closed_form(Family.LEGENDRE, 2000, 2000.0)
+    _, cancellation = _closed_form(1, 2000, 2000.0)
     assert not cancellation <= 256
     assert legendre_hat(2000, 2000.0).value == 0.0019173714582724126
 
