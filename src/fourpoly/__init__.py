@@ -10,7 +10,7 @@ recurrence oracles from `oracle`; the invariant-check registry shared by
 `fourpoly verify` and the acceptance suite from `checks`; the boundary-value
 solver from `helmholtz`; the command-line interface from `cli`.  Importing
 the package, `coeffs`, `transforms`, `bessel` or `cli` loads no numpy, and
-neither do `fourpoly eval`, `bessel` and `coeffs`.
+each `fourpoly` command loads only the modules it uses (see `cli`).
 """
 # kept because `bench/workloads.py` imports `parse_complex` from the package
 from .complexfmt import parse_complex  # noqa: F401

@@ -44,7 +44,10 @@ def legendre_hat_via_bessel(m: int, lam: complex) -> complex:
     """Legendre transform recovered from J_{m+1/2}; requires lam != 0.
 
     Route-equivalence oracle for `legendre_hat`: both sides use the
-    principal square root of lam.
+    principal square root of lam.  The route raises `OverflowError` wherever
+    J_{m+1/2}(lam) itself leaves the double range, even where the transform
+    does not (at m = 0, lam = 715i the transform is 4.6e307 and J_{1/2} is
+    about 3.5e308).
     """
     lam = complex(lam)
     if lam == 0:

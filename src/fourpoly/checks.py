@@ -7,15 +7,16 @@ checks yield 1.0 for any inexact value.  `fourpoly verify` prints
 `run_checks`, and the acceptance suite asserts on `run_check` at its pinned
 tolerances, so both run the same code over the same grids.
 
-Calls go through module attributes (``transforms.transform_hat``, ...) so
-that a tracer or a test can re-bind them.
+Checks read transform values through a memo, ``hat(family, m, lam)``, which
+`run_checks` shares across all checks.  Calls go through module attributes
+(``transforms.transform_hat``, ...) so that a tracer or a test can re-bind them.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .coeffs import Family
 __all__ = ["CHECKS", "CheckResult", "closed_grid", "oracle_grid", "run_check", "run_checks"]
 
 Residuals = Iterator[tuple[float, str]]
+Hat = Callable[[Family, int, complex], complex]
 
 
 def oracle_grid(m: int) -> list[complex]:
@@ -42,11 +44,8 @@ def closed_grid(m: int) -> list[complex]:
     return [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    worst: float
-    where: str
+class CheckResult(namedtuple("CheckResult", "name worst where")):
+    __slots__ = ()
 
     def passed(self, tol: float) -> bool:
         return self.worst <= tol
@@ -56,15 +55,28 @@ def _relative(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _zero_lambda_values(max_m: int) -> Residuals:
+def _memo_hat() -> Hat:
+    """F_m(lam) by `transforms.transform_hat`, each (family, m, lam) once;
+    lam keys compare with ==, so -0.0 and 0.0 parts share an entry."""
+    values: dict[tuple[Family, int, complex], complex] = {}
+
+    def hat(fam: Family, m: int, lam: complex) -> complex:
+        if (fam, m, lam) not in values:
+            values[fam, m, lam] = transforms.transform_hat(fam, m, lam).value
+        return values[fam, m, lam]
+
+    return hat
+
+
+def _zero_lambda_values(max_m: int, hat: Hat) -> Residuals:
     for fam in Family:
         for m in range(max_m + 1):
             expected = complex(float(transforms.zero_lambda_value(fam, m)))
-            got = transforms.transform_hat(fam, m, 0.0).value
+            got = hat(fam, m, 0.0)
             yield float(got != expected), f"({fam.value}, m={m}, lam=0)"
 
 
-def _paper_tables(max_m: int) -> Residuals:
+def _paper_tables(max_m: int, hat: Hat) -> Residuals:
     for fam in Family:
         for m in range(max_m + 1):
             table = (1, *coeffs.coefficient_table(fam, m).coeffs)  # c_0 = 1, so c_1 is the first ratio
@@ -72,55 +84,55 @@ def _paper_tables(max_m: int) -> Residuals:
             yield float(not all(c * den == prev * num for prev, c, (num, den) in steps)), f"({fam.value}, m={m})"
 
 
-def _oracle_agreement(max_m: int) -> Residuals:
+def _oracle_agreement(max_m: int, hat: Hat) -> Residuals:
     for fam in Family:
         for m in range(max_m + 1):
             for lam in oracle_grid(m):
                 ref = oracle.quad_transform(fam, m, lam)
-                got = transforms.transform_hat(fam, m, lam).value
+                got = hat(fam, m, lam)
                 yield abs(got - ref) / (1.0 + abs(ref)), f"({fam.value}, m={m}, lam={lam})"
 
 
-def _parity(max_m: int) -> Residuals:
+def _parity(max_m: int, hat: Hat) -> Residuals:
     for fam in Family:
         for m in range(max_m + 1):
             for lam in oracle_grid(m):
-                plus = transforms.transform_hat(fam, m, lam).value
-                minus = transforms.transform_hat(fam, m, -lam).value
+                plus = hat(fam, m, lam)
+                minus = hat(fam, m, -lam)
                 yield _relative(minus, (-1) ** m * plus), f"({fam.value}, m={m}, lam={lam})"
 
 
-def _conjugation(max_m: int) -> Residuals:
+def _conjugation(max_m: int, hat: Hat) -> Residuals:
     for fam in Family:
         for m in range(max_m + 1):
             for lam in oracle_grid(m):
                 if lam.imag == 0.0:
-                    plus = transforms.transform_hat(fam, m, lam).value
-                    minus = transforms.transform_hat(fam, m, -lam).value
+                    plus = hat(fam, m, lam)
+                    minus = hat(fam, m, -lam)
                     yield _relative(plus.conjugate(), minus), f"({fam.value}, m={m}, lam={lam})"
 
 
-def _realness(max_m: int) -> Residuals:
+def _realness(max_m: int, hat: Hat) -> Residuals:
     rot = (1.0, 1j, -1.0, -1j)
     for m in range(max_m + 1):
         for lam in oracle_grid(m):
             if lam.imag == 0.0 and lam.real > 0.0:
-                value = transforms.legendre_hat(m, lam).value * rot[m % 4]
+                value = hat(Family.LEGENDRE, m, lam) * rot[m % 4]
                 yield abs(value.imag) / max(abs(value), 1e-300), f"(legendre, m={m}, lam={lam})"
 
 
-def _legendre_recurrence(max_m: int) -> Residuals:
+def _legendre_recurrence(max_m: int, hat: Hat) -> Residuals:
     for m in range(1, max_m + 1):
         for lam in closed_grid(m + 1):
-            up = transforms.legendre_hat(m + 1, lam).value
-            mid = transforms.legendre_hat(m, lam).value
-            down = transforms.legendre_hat(m - 1, lam).value
+            up = hat(Family.LEGENDRE, m + 1, lam)
+            mid = hat(Family.LEGENDRE, m, lam)
+            down = hat(Family.LEGENDRE, m - 1, lam)
             resid = up + (1j / lam) * (2 * m + 1) * mid - down
             denom = max(abs(up), abs((2 * m + 1) * mid / abs(lam)), abs(down), 1e-300)
             yield abs(resid) / denom, f"(m={m}, lam={lam})"
 
 
-def _kernel_recurrence(max_m: int) -> Residuals:
+def _kernel_recurrence(max_m: int, hat: Hat) -> Residuals:
     for m in range(1, max_m + 1):
         for z in closed_grid(m + 1):
             up = transforms.exp_cos_sine_integral(m + 1, z)
@@ -132,21 +144,21 @@ def _kernel_recurrence(max_m: int) -> Residuals:
             yield abs(resid) / denom, f"(m={m}, z={z})"
 
 
-def _kernel_route(max_m: int) -> Residuals:
+def _kernel_route(max_m: int, hat: Hat) -> Residuals:
     for m in range(max_m + 1):
         for lam in closed_grid(m):
-            direct = transforms.chebyshev_hat(m, lam).value
+            direct = hat(Family.CHEBYSHEV, m, lam)
             yield _relative(direct, transforms.chebyshev_hat_via_kernel(m, lam)), f"(m={m}, lam={lam})"
 
 
-def _bessel_route(max_m: int) -> Residuals:
+def _bessel_route(max_m: int, hat: Hat) -> Residuals:
     for m in range(max_m + 1):
         for lam in closed_grid(m):
-            direct = transforms.legendre_hat(m, lam).value
+            direct = hat(Family.LEGENDRE, m, lam)
             yield _relative(direct, bessel.legendre_hat_via_bessel(m, lam)), f"(m={m}, lam={lam})"
 
 
-def _bessel_classical(max_m: int) -> Residuals:
+def _bessel_classical(max_m: int, hat: Hat) -> Residuals:
     for lam in [0.5, 1.0, 2.0, 5.0, 10.0]:
         j0 = math.sqrt(2.0 / (math.pi * lam)) * math.sin(lam)
         got0 = bessel.bessel_half(0, lam)
@@ -159,7 +171,7 @@ def _bessel_classical(max_m: int) -> Residuals:
         yield float(bessel.bessel_half(m, 0.0) != 0), f"(m={m}, lam=0)"
 
 
-def _quadrature_rule(max_m: int) -> Residuals:
+def _quadrature_rule(max_m: int, hat: Hat) -> Residuals:
     for order in (40, 64, 128):
         rule = oracle.gauss_legendre_rule(order)
         yield abs(float(np.sum(rule.weights)) - 2.0), f"(order={order}, sum w)"
@@ -171,7 +183,7 @@ def _quadrature_rule(max_m: int) -> Residuals:
 
 
 # The order is the order in which `fourpoly verify` prints the checks.
-CHECKS: dict[str, Callable[[int], Residuals]] = {
+CHECKS: dict[str, Callable[[int, Hat], Residuals]] = {
     "zero_lambda_values": _zero_lambda_values,
     "paper_tables": _paper_tables,
     "oracle_agreement": _oracle_agreement,
@@ -187,10 +199,9 @@ CHECKS: dict[str, Callable[[int], Residuals]] = {
 }
 
 
-def run_check(name: str, max_m: int) -> CheckResult:
-    """Worst residual of one check over m <= max_m, and where it occurred."""
+def _worst(name: str, max_m: int, hat: Hat) -> CheckResult:
     worst, where = 0.0, "-"
-    for residual, location in CHECKS[name](max_m):
+    for residual, location in CHECKS[name](max_m, hat):
         if math.isnan(residual):
             residual = math.inf
         if residual > worst:
@@ -198,6 +209,12 @@ def run_check(name: str, max_m: int) -> CheckResult:
     return CheckResult(name, worst, where)
 
 
+def run_check(name: str, max_m: int) -> CheckResult:
+    """Worst residual of one check over m <= max_m, and where it occurred."""
+    return _worst(name, max_m, _memo_hat())
+
+
 def run_checks(max_m: int) -> list[CheckResult]:
-    """Every check in registry order."""
-    return [run_check(name, max_m) for name in CHECKS]
+    """Every check in registry order, sharing one transform memo."""
+    hat = _memo_hat()
+    return [_worst(name, max_m, hat) for name in CHECKS]

@@ -2,7 +2,9 @@
 sweeps, single solves and convergence/conditioning studies with CSV output.
 
 Exit codes: 0 success, 1 check or solve failure, 2 usage/IO error.
-`helmholtz` and `checks` (so numpy) load only in the commands that use them.
+Each command imports only what it uses: `coeffs` the `coeffs` module, `eval`
+also `transforms`, `bessel` also `bessel`, and only `verify`, `solve` and
+`study` import `checks` or `helmholtz`, and so numpy.
 """
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ import argparse
 import math
 import sys
 
-from . import bessel, transforms
 from .coeffs import Family, coefficient_table, coefficients_csv
 from .complexfmt import format_complex, parse_complex
 
@@ -50,12 +51,14 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import transforms
     result = transforms.transform_hat(args.family, args.m, parse_complex(args.lam))
     print(f"{format_complex(result.value)} {result.path.value}")
     return 0
 
 
 def _cmd_bessel(args) -> int:
+    from . import bessel
     print(format_complex(bessel.bessel_half(args.m, parse_complex(args.lam))))
     return 0
 

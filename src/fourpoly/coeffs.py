@@ -14,7 +14,7 @@ transform evaluation reads them: `transforms` steps from c_n to c_{n+1} by a rat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -50,20 +50,19 @@ def as_family(family: Family | str) -> Family:
         raise ValueError(f"unknown polynomial family: {family!r}") from None
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(namedtuple("CoefficientTable", "family degree coeffs")):
     """Exact coefficients c_1..c_{m+1} for one polynomial degree.
 
     ``coeffs[n-1]`` multiplies 1/(i*lam)^n in the closed-form transform.
     """
 
-    family: Family
-    degree: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks the length too
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.degree + 1:
+    def __new__(cls, family: Family, degree: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != degree + 1:
             raise ValueError("table must hold exactly m+1 coefficients")
+        return super().__new__(cls, family, degree, coeffs)
 
 
 def product_range(s: int, t: int, r: int) -> int:

@@ -35,7 +35,7 @@ import cmath
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -121,13 +121,11 @@ def collocation_points(count: int) -> list[complex]:
     return [complex(1.0 + k * h) for k in range(count)]
 
 
-@dataclass(frozen=True)
-class CollocationSystem:
+class CollocationSystem(namedtuple("CollocationSystem", "matrix rhs")):
     """A 2M x N system, unscaled from `assemble_system` or equilibrated by
     `scale_system`."""
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    __slots__ = ()
 
 
 def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> CollocationSystem:
@@ -182,11 +180,10 @@ def scale_system(system: CollocationSystem) -> tuple[CollocationSystem, np.ndarr
     return CollocationSystem(matrix, system.rhs / row_norms), col_norms
 
 
-@dataclass(frozen=True)
-class NeumannExpansion:
+class NeumannExpansion(namedtuple("NeumannExpansion", "coefficients")):
     """Legendre expansion of the recovered side derivative u_x(-1, y)."""
 
-    coefficients: np.ndarray
+    __slots__ = ()
 
     def reconstruct(self, y):
         y = np.asarray(y, dtype=float)
@@ -195,16 +192,13 @@ class NeumannExpansion:
         return np.polynomial.legendre.legval(y, self.coefficients)
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    basis_size: int
-    point_count: int
-    e_inf: float
-    cond: float
-    residual_norm: float
-    seconds: float
-    rank: int  # of the scaled matrix, from lstsq; this and imag_norm are not in the CSV row
-    imag_norm: float  # norm of the imaginary part dropped from the coefficients
+class SolveReport(
+    namedtuple("SolveReport", "basis_size point_count e_inf cond residual_norm seconds rank imag_norm")
+):
+    """One solve; `csv_row` omits `rank` (of the scaled matrix, from lstsq) and
+    `imag_norm` (of the imaginary part dropped from the coefficients)."""
+
+    __slots__ = ()
 
     def csv_row(self) -> str:
         return (

@@ -7,7 +7,7 @@ so agreement between `quad_transform` and `transforms` validates both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -25,12 +25,10 @@ __all__ = [
 _MAX_QUAD_ORDER = 4096
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights")):
     """Gauss-Legendre nodes/weights on (-1, 1); exact through degree 2*order-1."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
 
 def _recurrence_values(m: int, x: np.ndarray, chebyshev: bool) -> np.ndarray:

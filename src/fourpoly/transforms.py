@@ -56,9 +56,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import Family, as_family, coefficient_table  # noqa: F401 (re-bound by bench/tracing.py)
@@ -89,10 +88,10 @@ class EvalPath(str, Enum):
     SMALL_LAMBDA_SERIES = "SmallLambdaSeries"
 
 
-@dataclass(frozen=True)
-class TransformResult:
-    value: complex
-    path: EvalPath
+class TransformResult(namedtuple("TransformResult", "value path")):
+    """A transform value (complex) and the `EvalPath` of its regime."""
+
+    __slots__ = ()
 
 
 def regime_threshold(m: int) -> float:
@@ -100,8 +99,10 @@ def regime_threshold(m: int) -> float:
     return float(max(1, m))
 
 
-def zero_lambda_value(family: Family | str, m: int) -> Fraction:
-    """Exact transform value at lam = 0."""
+def zero_lambda_value(family: Family | str, m: int):
+    """Exact transform value at lam = 0, as a `fractions.Fraction`."""
+    from fractions import Fraction  # here, so that importing transforms does not load it
+
     if operator.index(m) < 0:
         raise ValueError("degree must be non-negative")
     if as_family(family) is Family.LEGENDRE:

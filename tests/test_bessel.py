@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -95,5 +96,9 @@ def test_values_beyond_double_range_raise_overflow_error():
         bessel_half(174, 96 - 736j)
     with pytest.raises(OverflowError):
         legendre_hat_via_bessel(0, 716j)
+    # the route passes through J_{1/2}(715i), although the transform is 4.6e307
+    assert cmath.isfinite(legendre_hat(0, 715j).value)
+    with pytest.raises(OverflowError):
+        legendre_hat_via_bessel(0, 715j)
     reference = 4.7404099397002216e307 * (1 + 1j)  # 30-digit mpmath besselj(0.5, 713j)
     assert abs(bessel_half(0, 713j) - reference) <= 1e-13 * abs(reference)

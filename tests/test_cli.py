@@ -1,12 +1,13 @@
-import dataclasses
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fourpoly import checks, helmholtz, transforms
+from fourpoly import bessel, checks, helmholtz, transforms
 from fourpoly.checks import CHECKS
+from fourpoly.coeffs import Family
 from fourpoly.cli import main, run_study
 from fourpoly.complexfmt import format_complex, parse_complex
 from fourpoly.helmholtz import REPORT_CSV_HEADER
@@ -163,13 +164,33 @@ def test_verify_fails_on_nan_residual(capsys, monkeypatch):
     def nan_at_one_point(family, m, lam):
         result = exact(family, m, lam)
         if m == 2 and lam == 1j:
-            return dataclasses.replace(result, value=complex(math.nan, 0.0))
+            return result._replace(value=complex(math.nan, 0.0))
         return result
 
     monkeypatch.setattr(transforms, "transform_hat", nan_at_one_point)
     code, out, _ = run(capsys, "verify", "--max-m", "3")
     assert code == 1
     assert "FAIL oracle_agreement: max residual inf at" in out
+
+
+@pytest.mark.parametrize("max_m", [3, 20])
+def test_run_checks_matches_each_check_run_alone(max_m):
+    assert checks.run_checks(max_m) == [checks.run_check(name, max_m) for name in CHECKS]
+
+
+def test_run_checks_evaluates_each_transform_value_once(monkeypatch):
+    exact = transforms.transform_hat
+    seen = Counter()
+
+    def counting(family, m, lam):
+        seen[family, m, complex(lam)] += 1
+        return exact(family, m, lam)
+
+    monkeypatch.setattr(transforms, "transform_hat", counting)
+    # the Bessel route under test evaluates the transform itself; keep it out of the count
+    monkeypatch.setattr(bessel, "legendre_hat", lambda m, lam: exact(Family.LEGENDRE, m, lam))
+    checks.run_checks(8)
+    assert seen and max(seen.values()) == 1
 
 
 def test_verify_default_degree_is_64(capsys, monkeypatch):

@@ -154,6 +154,16 @@ def test_table_length_must_match_degree():
         CoefficientTable(Family.LEGENDRE, 2, (1,))
 
 
+def test_table_is_an_immutable_record_that_keeps_its_length():
+    table = CoefficientTable(family=Family.CHEBYSHEV, degree=1, coeffs=(-1, 1))
+    assert table == chebyshev_coeffs(1)
+    assert table._replace(family=Family.LEGENDRE).family is Family.LEGENDRE
+    with pytest.raises(AttributeError):
+        table.degree = 2
+    with pytest.raises(ValueError):
+        table._replace(degree=2)
+
+
 def test_csv_dump_format():
     text = coefficients_csv(chebyshev_coeffs(1))
     lines = text.strip().split("\n")

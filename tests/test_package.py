@@ -77,3 +77,28 @@ def test_evaluator_imports_without_numpy():
 def test_cli_loads_numpy_only_for_the_solver_and_checks(loads, argv):
     done = _run_python("-c", _CLI, loads, *argv)
     assert done.returncode == 0, done.stderr
+
+
+_COLD = """
+import sys
+from fourpoly.cli import main
+
+assert main(sys.argv[2:]) == 0
+print(*sorted(name for name in sys.argv[1].split(",") if name in sys.modules))
+"""
+
+_NEVER_COLD = ["numpy", "dataclasses", "inspect", "fractions", "decimal"]
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["eval", "--family", "legendre", "--m", "5", "--lambda", "7"], []),
+        (["bessel", "--m", "2", "--lambda", "3-1i"], []),
+        (["coeffs", "--family", "chebyshev", "--m", "40"], ["fourpoly.transforms", "fourpoly.bessel"]),
+    ],
+)
+def test_point_commands_load_only_what_they_use(argv, unused):
+    done = _run_python("-c", _COLD, ",".join(_NEVER_COLD + unused), *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == ""
