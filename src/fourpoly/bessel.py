@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 
-# Unused here, but bench/tracing.py re-binds `bessel.coefficient_table` along
+# `coefficient_table` is unused here, but bench/tracing.py re-binds it along
 # with `transforms.transform_hat` and `helmholtz.legendre_hat` to count calls.
-from .coeffs import coefficient_table  # noqa: F401
+from .coeffs import as_degree, coefficient_table  # noqa: F401
 from .transforms import legendre_hat
 
 __all__ = ["bessel_half", "legendre_hat_via_bessel"]
@@ -27,12 +26,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def bessel_half(m: int, lam: complex) -> complex:
     """J_{m+1/2}(lam) for complex lam; J_{m+1/2}(0) = 0.  A value that is
     not finite raises `OverflowError`."""
-    if operator.index(m) < 0:
-        raise ValueError("order index must be non-negative")
+    m = as_degree(m)
     lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise ValueError("lam must be finite")
-    if lam == 0:
+    if lam == 0:  # legendre_hat rejects a lam that is not finite
         return 0j
     value = _I_POW[m % 4] * cmath.sqrt(lam) / _SQRT_2PI * legendre_hat(m, lam).value
     if not cmath.isfinite(value):  # the factor sqrt(lam) can take a finite transform beyond the range

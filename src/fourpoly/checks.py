@@ -7,9 +7,10 @@ checks yield 1.0 for any inexact value.  `fourpoly verify` prints
 `run_checks`, and the acceptance suite asserts on `run_check` at its pinned
 tolerances, so both run the same code over the same grids.
 
-Checks read transform values through a memo, ``hat(family, m, lam)``, which
-`run_checks` shares across all checks.  Calls go through module attributes
-(``transforms.transform_hat``, ...) so that a tracer or a test can re-bind them.
+Checks read transform values through a memo, ``hat(family, m, lam)``, a
+`functools.lru_cache` that `run_checks` shares across all checks.  Calls go
+through module attributes (``transforms.transform_hat``, ...), so that a
+tracer or a test can re-bind them.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,14 +60,7 @@ def _relative(a: complex, b: complex) -> float:
 def _memo_hat() -> Hat:
     """F_m(lam) by `transforms.transform_hat`, each (family, m, lam) once;
     lam keys compare with ==, so -0.0 and 0.0 parts share an entry."""
-    values: dict[tuple[Family, int, complex], complex] = {}
-
-    def hat(fam: Family, m: int, lam: complex) -> complex:
-        if (fam, m, lam) not in values:
-            values[fam, m, lam] = transforms.transform_hat(fam, m, lam).value
-        return values[fam, m, lam]
-
-    return hat
+    return lru_cache(maxsize=None)(lambda fam, m, lam: transforms.transform_hat(fam, m, lam).value)
 
 
 def _zero_lambda_values(max_m: int, hat: Hat) -> Residuals:

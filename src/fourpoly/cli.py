@@ -26,8 +26,8 @@ def run_study(basis_sizes: list[int], factors: list[float]) -> list:
     from . import helmholtz
     if not basis_sizes or any(n < 1 for n in basis_sizes):
         raise ValueError("basis sizes must be positive")
-    if not factors or any(f <= 0 for f in factors):
-        raise ValueError("factors must be positive")
+    if not factors or not all(0 < f < math.inf for f in factors):  # also rejects NaN
+        raise ValueError("factors must be positive and finite")
     return [helmholtz.solve(n, max(1, round(f * n)))[1] for n in basis_sizes for f in factors]
 
 

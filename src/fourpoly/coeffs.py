@@ -14,6 +14,7 @@ transform evaluation reads them: `transforms` steps from c_n to c_{n+1} by a rat
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
@@ -22,6 +23,7 @@ __all__ = [
     "Family",
     "CoefficientTable",
     "as_family",
+    "as_degree",
     "product_range",
     "chebyshev_coeffs",
     "legendre_coeffs",
@@ -50,6 +52,15 @@ def as_family(family: Family | str) -> Family:
         raise ValueError(f"unknown polynomial family: {family!r}") from None
 
 
+def as_degree(m) -> int:
+    """A polynomial degree (or Bessel order index) as an int: `TypeError`
+    unless m is an integer, `ValueError` if it is negative."""
+    m = operator.index(m)
+    if m < 0:
+        raise ValueError("degree must be non-negative")
+    return m
+
+
 class CoefficientTable(namedtuple("CoefficientTable", "family degree coeffs")):
     """Exact coefficients c_1..c_{m+1} for one polynomial degree.
 
@@ -73,15 +84,10 @@ def product_range(s: int, t: int, r: int) -> int:
     return value
 
 
-def _check_degree(m: int) -> None:
-    if m < 0:
-        raise ValueError("polynomial degree must be non-negative")
-
-
 @lru_cache(maxsize=None)
 def chebyshev_coeffs(m: int) -> CoefficientTable:
     """Exact transform coefficients for the Chebyshev polynomial T_m."""
-    _check_degree(m)
+    m = as_degree(m)
     sign = -1 if m % 2 else 1
     entries = [sign]
     for n in range(2, m + 2):
@@ -100,7 +106,7 @@ def legendre_coeffs(m: int) -> CoefficientTable:
     Index n runs over 1..m+1; each n is produced by exactly one of the three
     construction rules, split by the parity of m+n.
     """
-    _check_degree(m)
+    m = as_degree(m)
     entries = []
     for n in range(1, m + 2):
         if (m + n) % 2 == 1:
@@ -108,14 +114,12 @@ def legendre_coeffs(m: int) -> CoefficientTable:
                 # m even: the first coefficient is 1.
                 entries.append(1)
             else:
-                assert (m + n - 3) % 2 == 0
                 h = (m + n - 3) // 2
                 entries.append(
                     ((m + n) * math.comb(h, n - 1) + math.comb(h, n - 2))
                     * product_range((m - n + 3) // 2, h, m)
                 )
         else:
-            assert (m + n) % 2 == 0
             h = (m + n) // 2 - 1
             entries.append(
                 -math.comb(h, n - 1) * product_range((m - n) // 2 + 1, h, m)

@@ -96,7 +96,10 @@ def dirichlet_hat(lam: complex) -> complex:
     if lam == 0 or not cmath.isfinite(lam):
         raise ValueError("boundary transform requires finite lam != 0")
     a = lam + 1.0 / lam
-    return math.cosh(1.0) * _cosh_integral(a, SQRT3) + math.cosh(SQRT3) * _cosh_integral(a, 1.0)
+    value = math.cosh(1.0) * _cosh_integral(a, SQRT3) + math.cosh(SQRT3) * _cosh_integral(a, 1.0)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"boundary transform beyond the double range at lam={lam}")
+    return value
 
 
 def _neumann_hat_columns(n_basis: int, lam: complex) -> np.ndarray:
@@ -131,8 +134,9 @@ class CollocationSystem(namedtuple("CollocationSystem", "matrix rhs")):
 def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> CollocationSystem:
     """Two global-relation rows per collocation point, unscaled.
 
-    `dirichlet` maps lam to the transformed boundary data; the default is the
-    fixed symmetric problem above.
+    `dirichlet` maps lam to the transformed boundary data, which must be even
+    in y; the default is the fixed symmetric problem above.  A point whose
+    rows or right-hand side leave the double range raises `OverflowError`.
     """
     points = [complex(p) for p in points]
     if n_basis < 1:
@@ -145,21 +149,28 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
     rhs = np.zeros(2 * len(points), dtype=complex)
     parity = (-1.0) ** np.arange(n_basis)
     for r, lam in enumerate(points):
-        z1 = lam - 1.0 / lam
-        z2 = 1j * lam - 1.0 / (1j * lam)
-        c1 = cmath.cos(z1)
-        c2 = cmath.cos(z2)
-        f1 = z1 * cmath.sin(z1)
-        f2 = z2 * cmath.sin(z2)
-        d_lam = dirichlet(lam)
+        try:
+            z1 = lam - 1.0 / lam
+            z2 = 1j * lam - 1.0 / (1j * lam)
+            c1 = cmath.cos(z1)
+            c2 = cmath.cos(z2)
+            f1 = z1 * cmath.sin(z1)
+            f2 = z2 * cmath.sin(z2)
+            d_lam = dirichlet(lam)
+            d_turned = dirichlet(-1j * lam)  # = D(i lam) bit for bit: the data are even in y
+        except (OverflowError, ValueError):  # cmath's range error, or its domain error at an infinite 1/lam
+            rhs[2 * r] = math.nan  # marks the point as not finite for the check below
+            break
         base = c1 * _neumann_hat_columns(n_basis, lam)
         # mu(i lam) = -mu(-i lam) and p_k-hat(-mu) = (-1)^k p_k-hat(mu), both
         # exactly, so the -i lam sweep also gives the i lam columns
         turned = c2 * _neumann_hat_columns(n_basis, -1j * lam)
         rows[2 * r] = base + turned
         rows[2 * r + 1] = base + parity * turned
-        rhs[2 * r] = f1 * d_lam + f2 * dirichlet(-1j * lam)
-        rhs[2 * r + 1] = f1 * d_lam + f2 * dirichlet(1j * lam)
+        rhs[2 * r] = rhs[2 * r + 1] = f1 * d_lam + f2 * d_turned
+    finite = np.isfinite(rhs) & np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise OverflowError(f"collocation rows beyond the double range at lam={points[np.argmin(finite) // 2]}")
     return CollocationSystem(rows, rhs)
 
 

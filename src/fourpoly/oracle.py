@@ -1,6 +1,8 @@
 """Independent brute-force checks: polynomial evaluation by recurrence and
 Gauss-Legendre quadrature of the defining transform integrals.
 
+One three-term loop serves the polynomial values and the Newton step of the
+node iteration, and `gauss_legendre_rule` caches the rules it builds.
 Nothing here touches the coefficient tables or the regime-split evaluators,
 so agreement between `quad_transform` and `transforms` validates both sides.
 """
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeffs import Family, as_family
+from .coeffs import Family, as_degree, as_family
 
 __all__ = [
     "QuadratureRule",
@@ -31,17 +33,16 @@ class QuadratureRule(namedtuple("QuadratureRule", "nodes weights")):
     __slots__ = ()
 
 
-def _recurrence_values(m: int, x: np.ndarray, chebyshev: bool) -> np.ndarray:
-    if m == 0:
-        return np.ones_like(x)
+def _recurrence_pair(m: int, x: np.ndarray, chebyshev: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(p_m, p_{m+1}) at x by the three-term recurrence."""
     prev = np.ones_like(x)
     cur = np.asarray(x, dtype=float).copy()
-    for k in range(1, m):
+    for k in range(1, m + 1):
         if chebyshev:
             prev, cur = cur, 2.0 * x * cur - prev
         else:
             prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
-    return cur
+    return prev, cur
 
 
 def _checked_input(x) -> tuple[np.ndarray, bool]:
@@ -53,36 +54,33 @@ def _checked_input(x) -> tuple[np.ndarray, bool]:
 
 def eval_chebyshev(m: int, x):
     """T_m(x) on [-1, 1] by the three-term recurrence."""
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    m = as_degree(m)
     arr, scalar = _checked_input(x)
-    vals = _recurrence_values(m, arr, chebyshev=True)
+    vals = _recurrence_pair(m, arr, chebyshev=True)[0]
     return float(vals) if scalar else vals
 
 
 def eval_legendre(m: int, x):
     """P_m(x) on [-1, 1] by the three-term recurrence."""
-    if m < 0:
-        raise ValueError("degree must be non-negative")
+    m = as_degree(m)
     arr, scalar = _checked_input(x)
-    vals = _recurrence_values(m, arr, chebyshev=False)
+    vals = _recurrence_pair(m, arr, chebyshev=False)[0]
     return float(vals) if scalar else vals
 
 
 @lru_cache(maxsize=256)
-def _rule(order: int) -> QuadratureRule:
-    # Newton iteration on recurrence-evaluated P_order, started from the
-    # Tricomi asymptotic approximation of the roots.
+def gauss_legendre_rule(order: int) -> QuadratureRule:
+    """Nodes and weights of the order-point Gauss-Legendre rule, cached: Newton
+    iteration on P_order from the Tricomi asymptotic approximation of the roots."""
+    if order < 1:
+        raise ValueError("order must be positive")
     n = order
     k = np.arange(1, n + 1)
     theta = math.pi * (4 * k - 1) / (4 * n + 2)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(theta)
     converged = False
     for _ in range(101):  # up to 100 steps, then the weights at the last x
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for j in range(1, n):
-            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        p_prev, p = _recurrence_pair(n - 1, x, chebyshev=False)
         dp = n * (x * p - p_prev) / (x * x - 1.0)
         if converged:
             break
@@ -100,18 +98,11 @@ def _rule(order: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-def gauss_legendre_rule(order: int) -> QuadratureRule:
-    """Nodes and weights of the order-point Gauss-Legendre rule."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    return _rule(order)
-
-
 @lru_cache(maxsize=512)
 def _weighted_poly(family: Family, m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the order-point rule and weights * p_m(nodes), read-only."""
     rule = gauss_legendre_rule(order)
-    weighted = rule.weights * _recurrence_values(m, rule.nodes, chebyshev=family is Family.CHEBYSHEV)
+    weighted = rule.weights * _recurrence_pair(m, rule.nodes, chebyshev=family is Family.CHEBYSHEV)[0]
     weighted.setflags(write=False)
     return rule.nodes, weighted
 
@@ -134,6 +125,7 @@ def quad_transform(family: Family | str, m: int, lam: complex) -> complex:
     ~1e-13, before building any rule if the start order is above 2048.
     """
     fam = as_family(family)
+    m = as_degree(m)
     lam = complex(lam)
     order = 1 << (max(40, m + math.ceil(abs(lam)) + 20) - 1).bit_length()
     if 2 * order <= _MAX_QUAD_ORDER:

@@ -55,12 +55,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
-from .coeffs import Family, as_family, coefficient_table  # noqa: F401 (re-bound by bench/tracing.py)
+from .coeffs import Family, as_degree, as_family, coefficient_table  # noqa: F401 (re-bound by bench/tracing.py)
 
 __all__ = [
     "EvalPath",
@@ -103,8 +102,7 @@ def zero_lambda_value(family: Family | str, m: int):
     """Exact transform value at lam = 0, as a `fractions.Fraction`."""
     from fractions import Fraction  # here, so that importing transforms does not load it
 
-    if operator.index(m) < 0:
-        raise ValueError("degree must be non-negative")
+    m = as_degree(m)
     if as_family(family) is Family.LEGENDRE:
         return Fraction(2) if m == 0 else Fraction(0)
     if m == 1:
@@ -267,8 +265,7 @@ def _finite(value: complex, m: int, lam: complex) -> complex:
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:
     """Finite Fourier transform of the degree-m polynomial, regime-selected."""
     fam = as_family(family)
-    if operator.index(m) < 0:
-        raise ValueError("degree must be non-negative")
+    m = as_degree(m)
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise ValueError("lam must be finite")
@@ -304,8 +301,7 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
         raise ValueError("kernel integral requires z != 0")
     if not cmath.isfinite(z):
         raise ValueError("z must be finite")
-    if operator.index(m) < 0:
-        raise ValueError("degree must be non-negative")
+    m = as_degree(m)
     # the factor m can take a finite F_{m-1} beyond the double range
     return _finite(m * _value(2, m - 1, 1j * z), m - 1, 1j * z) if m else 0j
 

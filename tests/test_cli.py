@@ -286,6 +286,15 @@ def test_study_rejects_non_positive_factor(capsys):
     assert "factors must be positive" in err
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_study_rejects_non_finite_factor(factor, capsys):
+    with pytest.raises(ValueError, match="factors must be positive and finite"):
+        run_study([4], [float(factor)])
+    code, out, err = run(capsys, "study", "--basis", "4", "--factors", f"1,{factor}")
+    assert code == 2 and out == ""
+    assert err == "error: factors must be positive and finite\n"
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -8,6 +8,7 @@ from fourpoly.coeffs import (
     CSV_HEADER,
     CoefficientTable,
     Family,
+    as_degree,
     as_family,
     chebyshev_coeffs,
     coefficient_table,
@@ -142,6 +143,14 @@ def test_negative_degree_rejected():
         chebyshev_coeffs(-1)
     with pytest.raises(ValueError):
         legendre_coeffs(-2)
+
+
+def test_as_degree_returns_the_int_or_raises():
+    assert as_degree(7) == 7 and type(as_degree(True)) is int
+    with pytest.raises(TypeError):
+        as_degree(2.5)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        as_degree(-1)
 
 
 def test_unknown_family_rejected():

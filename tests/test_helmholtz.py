@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -116,6 +117,25 @@ def test_dirichlet_hat_near_removable_singularity():
 def test_dirichlet_hat_domain_error():
     with pytest.raises(ValueError):
         dirichlet_hat(0.0)
+    with pytest.raises(OverflowError):  # 1/lam is beyond the double range
+        dirichlet_hat(1e-320)
+
+
+def test_dirichlet_hat_is_even_under_lam_to_minus_lam_bitwise():
+    # assembly evaluates D(-i lam) once per point and uses it for D(i lam) too
+    rng = np.random.default_rng(11)
+    lams = [*collocation_points(256), *(rng.uniform(-300, 300, 200) + 1j * rng.uniform(-300, 300, 200))]
+    for lam in lams:
+        assert np.complex128(dirichlet_hat(1j * lam)).tobytes() == np.complex128(dirichlet_hat(-1j * lam)).tobytes(), lam
+
+
+@pytest.mark.parametrize("points", [[704.0], [709.0], [1e-320], [1.0, 704.0, 709.0]])
+def test_assembly_beyond_the_double_range_names_the_first_such_point(points):
+    # at 704 the right-hand side overflows, from 709 cos, sin and D(lam)
+    # raise a range error, and at 1e-320 the term 1/lam is infinite
+    bad = next(p for p in points if p != 1.0)
+    with pytest.raises(OverflowError, match=re.escape(f"lam={complex(bad)}")):
+        assemble_system(8, points)
 
 
 def test_neumann_hat_column_values():

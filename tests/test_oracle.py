@@ -51,6 +51,12 @@ def test_domain_errors():
         gauss_legendre_rule(0)
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_quad_transform_rejects_negative_degree(family):
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        quad_transform(family, -1, 1.0)
+
+
 @pytest.mark.parametrize("order", [1, 2, 8, 40, 81, 160])
 def test_rule_invariants(order):
     rule = gauss_legendre_rule(order)
@@ -93,17 +99,17 @@ def test_quad_transform_converges_and_is_stable():
 
 
 def test_quad_transform_order_cap():
-    oracle._rule.cache_clear()
+    oracle.gauss_legendre_rule.cache_clear()
     with pytest.raises(RuntimeError):
         quad_transform("legendre", 0, 9000.0)
-    assert oracle._rule.cache_info().currsize == 0  # failed before building a rule
+    assert oracle.gauss_legendre_rule.cache_info().currsize == 0  # failed before building a rule
 
 
 def test_oracle_agreement_builds_one_rule_per_power_of_two():
-    oracle._rule.cache_clear()
+    oracle.gauss_legendre_rule.cache_clear()
     oracle._weighted_poly.cache_clear()
     assert run_check("oracle_agreement", 32).worst <= 1e-13
-    assert oracle._rule.cache_info().misses <= 4
+    assert oracle.gauss_legendre_rule.cache_info().misses <= 4
 
 
 def test_cached_weighted_samples_are_read_only():

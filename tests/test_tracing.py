@@ -36,7 +36,7 @@ def test_tracer_counts_each_layer_and_restores_the_originals(monkeypatch):
     assert dict(tracer.calls) == {
         "helmholtz.solve": 1,
         "helmholtz.assemble": 1,
-        "helmholtz.dirichlet": 24,  # three boundary transforms per point
+        "helmholtz.dirichlet": 16,  # two boundary transforms per point
         "helmholtz.scale": 1,
         "helmholtz.lstsq": 1,
         "helmholtz.error": 1,

@@ -342,6 +342,95 @@ def test_sweep_from_degree_zero_matches_scalar_path(a):
 
 
 # ---------------------------------------------------------------------------
+# envelope out to m = 400, against the closed form summed exactly
+# ---------------------------------------------------------------------------
+
+
+def exact_sums(a, m, lam):
+    """s^(m+1) P(w) and s^(m+1) P(-w) as exact Gaussian integers (re, im),
+    where P(w) = sum_n c_n w^n, w = 1/(i lam) = g/s, and c_n is the product
+    of `closed_form_ratios`; returns them with s^(m+1)."""
+    coeffs, c = [], 1
+    for num, den in closed_form_ratios(a, m):
+        c, rem = divmod(c * num, den)
+        assert rem == 0
+        coeffs.append(c)
+    (x, dx), (y, dy) = lam.real.as_integer_ratio(), lam.imag.as_integer_ratio()
+    d = max(dx, dy)  # dx and dy are powers of two; lam = (x + iy)/d
+    x, y = x * (d // dx), y * (d // dy)
+    s, gr, gi = x * x + y * y, -d * y, -d * x
+    pr = pi = qr = qi = 0
+    spow = 1
+    for c in reversed(coeffs):  # Horner: acc = (acc + c_n s^(m+1-n)) g
+        t = c * spow
+        spow *= s
+        pr, pi = (pr + t) * gr - pi * gi, (pr + t) * gi + pi * gr
+        qr, qi = -((qr + t) * gr - qi * gi), -((qr + t) * gi + qi * gr)
+    return (pr, pi), (qr, qi), spow
+
+
+def exact_envelope_value(a, m, lam):
+    """F = e^{i lam} P(w) + (-1)^m e^{-i lam} P(-w) in mpmath, with P exact.
+
+    All the cancellation is in that sum, so it takes log10(largest part /
+    |F|) + 30 digits.  |F| is not known beforehand: start as if it were 1,
+    accept a value that a re-evaluation 20 digits higher matches to 1e-18,
+    and double the digits otherwise.  Returns 0 for |F| below about 1e-290.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    plus, minus, scale = exact_sums(a, m, lam)
+    bits = max(abs(v).bit_length() for v in (*plus, *minus)) - scale.bit_length()
+    big = max(0.0, bits * math.log10(2) + abs(lam.imag) / math.log(10))
+    digits = big + 30
+    while digits < big + 330:
+        values = []
+        for extra in (0, 20):
+            with mpmath.workdps(int(digits) + extra):
+                z = mpmath.mpc(lam.real, lam.imag)
+                total = mpmath.exp(1j * z) * mpmath.mpc(*plus) + (-1) ** m * mpmath.exp(-1j * z) * mpmath.mpc(*minus)
+                values.append(total / scale)
+        low, high = values
+        with mpmath.workdps(int(digits) + 20):
+            if high != 0 and abs(low - high) <= 1e-18 * abs(high):
+                return complex(high)
+        digits *= 2
+    return 0j
+
+
+def envelope_points(seed, count=250):
+    """Half m <= 40, half 41 <= m <= 400; |lam| log-uniform in [1e-3, 6m + 10]
+    on random, near-real and near-imaginary rays, with |Im lam| <= 650."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        m = rng.randint(0, 40) if len(points) < count // 2 else rng.randint(41, 400)
+        family = rng.choice(FAMILIES)
+        r = math.exp(rng.uniform(math.log(1e-3), math.log(6 * m + 10)))
+        ray = rng.choice((None, 0.0, math.pi, math.pi / 2, -math.pi / 2))
+        angle = rng.uniform(-math.pi, math.pi) if ray is None else ray + rng.uniform(-1e-3, 1e-3)
+        lam = cmath.rect(r, angle)
+        # |P_m-hat| <= 2 |lam|^m e^{|Im lam|} / m!, as P_m is orthogonal to x^k, k < m
+        tiny = math.log(2) + m * math.log(r) + abs(lam.imag) - math.lgamma(m + 1) < -290 * math.log(10)
+        if abs(lam.imag) <= 650 and not (family is Family.LEGENDRE and tiny):
+            points.append((family, m, lam))
+    return points
+
+
+def test_envelope_to_degree_400_matches_exact_closed_form():
+    # No point of this seed lies near a zero of F, where the relative error
+    # would grow with F's own condition number (eps |lam cot lam| for F_0).
+    checked = 0
+    for family, m, lam in envelope_points(20261018):
+        reference = exact_envelope_value(0 if family is Family.CHEBYSHEV else 1, m, lam)
+        if abs(reference) < 1e-290:  # gradual underflow costs the double value its digits
+            continue
+        value = transform_hat(family, m, lam).value
+        assert abs(value - reference) <= 1e-12 * abs(reference), (family, m, lam)
+        checked += 1
+    assert checked >= 240
+
+
+# ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
 
