@@ -1,7 +1,8 @@
 """Command-line surface: coefficient dumps, point evaluations, verification
 sweeps, single solves and convergence/conditioning studies with CSV output.
 
-Exit codes: 0 success, 1 check or solve failure, 2 usage/IO error.
+Exit codes: 0 success, 1 a failed check or solve (rows beyond the double range
+included), 2 a usage or IO error or a requested value beyond the double range.
 Each command imports only what it uses: `coeffs` the `coeffs` module, `eval`
 also `transforms`, `bessel` also `bessel`, and only `verify`, `solve` and
 `study` import `checks` or `helmholtz`, and so numpy.
@@ -76,14 +77,12 @@ def _cmd_verify(args) -> int:
 
 def _reports_csv(reports) -> str:
     from . import helmholtz
-    lines = [helmholtz.REPORT_CSV_HEADER] + [r.csv_row() for r in reports]
-    return "\n".join(lines) + "\n"
+    return "\n".join([helmholtz.REPORT_CSV_HEADER, *(r.csv_row() for r in reports)]) + "\n"
 
 
 def _cmd_solve(args) -> int:
     from . import helmholtz
-    _, report = helmholtz.solve(args.basis, args.points)
-    _write_text(args.out, _reports_csv([report]))
+    _write_text(args.out, _reports_csv([helmholtz.solve(args.basis, args.points)[1]]))
     return 0
 
 
@@ -164,11 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_errors() -> tuple[type[Exception], ...]:
-    """The errors that exit 1; numpy's and the solver's need their module loaded."""
-    numpy, helmholtz = sys.modules.get("numpy"), sys.modules.get("fourpoly.helmholtz")
-    linalg = (numpy.linalg.LinAlgError,) if numpy else ()
-    return (RuntimeError, *linalg, *((helmholtz.DegenerateSystemError,) if helmholtz else ()))
+def _failures(command: str) -> tuple[type[Exception], ...]:
+    """The errors that exit 1: any RuntimeError, and a failed solve or rows beyond the double range."""
+    if command in ("solve", "study"):  # the handler has loaded helmholtz, and so numpy
+        from .helmholtz import DegenerateSystemError, np
+        return (RuntimeError, OverflowError, np.linalg.LinAlgError, DegenerateSystemError)
+    return (RuntimeError,)
 
 
 def main(argv=None) -> int:
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (RuntimeError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, _solver_errors()) else 2
+        return 1 if isinstance(exc, _failures(args.command)) else 2
 
 
 if __name__ == "__main__":

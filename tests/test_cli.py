@@ -269,6 +269,21 @@ def test_solve_linear_algebra_failure_exits_1(capsys, monkeypatch):
     assert err == "error: SVD did not converge\n"
 
 
+@pytest.mark.parametrize("argv", [["solve", "--basis", "4", "--points", "8"], ["study", "--basis", "4"]],
+                         ids=["solve", "study"])
+def test_solve_overflow_exits_1(argv, capsys, monkeypatch):
+    def overflow(n_basis, point_count):
+        raise OverflowError("collocation rows beyond the double range at lam=(704+0j)")
+
+    monkeypatch.setattr(helmholtz, "solve", overflow)
+    assert run(capsys, *argv) == (1, "", "error: collocation rows beyond the double range at lam=(704+0j)\n")
+
+
+def test_eval_beyond_double_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--family", "legendre", "--m", "0", "--lambda", "0+720i")
+    assert (code, out) == (2, "") and "beyond the double range" in err
+
+
 def test_solve_too_few_points_is_usage_error(capsys):
     code, out, err = run(capsys, "solve", "--basis", "20", "--points", "5")
     assert code == 2 and out == ""

@@ -10,7 +10,7 @@ import pytest
 
 from fourpoly.bessel import bessel_half
 from fourpoly.checks import closed_grid, run_check
-from fourpoly.coeffs import Family, chebyshev_coeffs, legendre_coeffs
+from fourpoly.coeffs import Family, chebyshev_coeffs, coefficient_table, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
 from fourpoly.oracle import quad_transform
 from fourpoly.transforms import (
@@ -27,7 +27,6 @@ from fourpoly.transforms import (
     _value,
     closed_form_ratios,
 )
-from fourpoly.coeffs import coefficient_table
 
 FAMILIES = list(Family)
 FAMILY_OF = {0: Family.CHEBYSHEV, 1: Family.LEGENDRE}
@@ -127,7 +126,8 @@ def test_series_limit_matches_zero_value(family):
 
 # ---------------------------------------------------------------------------
 # band regression: 16 <= |lam| < m on the real axis, and just above m near
-# the imaginary axis, against the closed form summed exactly
+# the imaginary axis, against the closed form summed exactly (quadrature is
+# no reference here: near the imaginary axis its own error reaches ~3e-9)
 # ---------------------------------------------------------------------------
 
 
@@ -141,22 +141,46 @@ def u_table(k):
     return tuple(table)
 
 
-def exact_closed_form(family, m, lam):
-    """Closed form over the exact integer table (`u_table` at a = 2),
-    summed in 60-digit mpmath.
+def exact_value(coeffs, m, lam):
+    """F = e^{i lam} P(w) + (-1)^m e^{-i lam} P(-w) in mpmath, where P(w) =
+    sum_n c_n w^n over an integer table c_1 .. c_{m+1} (ints or integral
+    Fractions) and w = 1/(i lam) = g/s.
 
-    Quadrature is no reference here: near the imaginary axis its own error
-    reaches ~3e-9.
+    s^(m+1) P(w) and s^(m+1) P(-w) are exact Gaussian integers, so all the
+    cancellation is in the final sum, which takes log10(largest part / |F|)
+    + 30 digits.  |F| is not known beforehand: start as if it were 1, accept
+    a value that a re-evaluation 20 digits higher matches to 1e-18, and
+    double the digits otherwise.  Returns 0 for |F| below about 1e-290.
     """
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        z = mpmath.mpc(lam.real, lam.imag)
-        e_plus, e_minus, w = mpmath.exp(1j * z), mpmath.exp(-1j * z), 1 / (1j * z)
-        total = mpmath.mpc(0)
-        coeffs = u_table(m) if family == 2 else coefficient_table(family, m).coeffs
-        for n, c in enumerate(coeffs, start=1):
-            total += c * (e_plus + (-1) ** (n + m) * e_minus) * w**n
-        return complex(total)
+    (x, dx), (y, dy) = lam.real.as_integer_ratio(), lam.imag.as_integer_ratio()
+    d = max(dx, dy)  # dx and dy are powers of two; lam = (x + iy)/d
+    x, y = x * (d // dx), y * (d // dy)
+    s, gr, gi = x * x + y * y, -d * y, -d * x
+    pr = pi = qr = qi = 0
+    scale = 1  # s^(m+1) at the end
+    for c in reversed(coeffs):  # Horner: acc = (acc + c_n s^(m+1-n)) g
+        assert c.denominator == 1, c
+        t = int(c) * scale
+        scale *= s
+        pr, pi = (pr + t) * gr - pi * gi, (pr + t) * gi + pi * gr
+        qr, qi = -((qr + t) * gr - qi * gi), -((qr + t) * gi + qi * gr)
+    bits = max(abs(v).bit_length() for v in (pr, pi, qr, qi)) - scale.bit_length()
+    big = max(0.0, bits * math.log10(2) + abs(lam.imag) / math.log(10))
+    digits = big + 30
+    while digits < big + 330:
+        values = []
+        for extra in (0, 20):
+            with mpmath.workdps(int(digits) + extra):
+                z = mpmath.mpc(lam.real, lam.imag)
+                total = mpmath.exp(1j * z) * mpmath.mpc(pr, pi) + (-1) ** m * mpmath.exp(-1j * z) * mpmath.mpc(qr, qi)
+                values.append(total / scale)
+        low, high = values
+        with mpmath.workdps(int(digits) + 20):
+            if high != 0 and abs(low - high) <= 1e-18 * abs(high):
+                return complex(high)
+        digits *= 2
+    return 0j
 
 
 def band_points(m):
@@ -172,7 +196,7 @@ def band_points(m):
 @pytest.mark.parametrize("m", [24, 32, 40, 48, 64])
 def test_band_matches_exact_closed_form(family, m):
     for lam in band_points(m):
-        reference = exact_closed_form(family, m, lam)
+        reference = exact_value(coefficient_table(family, m).coeffs, m, lam)
         value = transform_hat(family, m, lam).value
         assert abs(value - reference) <= 1e-12 * (1 + abs(reference)), (family, m, lam)
 
@@ -180,7 +204,7 @@ def test_band_matches_exact_closed_form(family, m):
 @pytest.mark.parametrize("lam", [39.5, 30 + 5j])
 def test_chebyshev_band_anchors(lam):
     # the two Chebyshev anchors of the benchmark, in and near the band
-    reference = exact_closed_form(Family.CHEBYSHEV, 40, complex(lam))
+    reference = exact_value(chebyshev_coeffs(40).coeffs, 40, complex(lam))
     value = chebyshev_hat(40, lam).value
     assert abs(value - reference) <= 1e-12 * (1 + abs(reference))
 
@@ -192,7 +216,7 @@ def test_recurrence_survives_small_and_zero_pivots():
     cases = [(Family.LEGENDRE, m, math.sqrt(15)) for m in (4, 5, 8)]
     cases += [(Family.CHEBYSHEV, 24, 30.4326), (Family.CHEBYSHEV, 24, 34.1082)]
     for family, m, lam in cases:
-        reference = exact_closed_form(family, m, complex(lam))
+        reference = exact_value(coefficient_table(family, m).coeffs, m, complex(lam))
         value = transform_hat(family, m, lam).value
         assert abs(value - reference) <= 1e-12 * (1 + abs(reference)), (family, m, lam)
 
@@ -210,20 +234,20 @@ def test_degree_160_matches_exact_closed_form():
     # the paper's top coefficients exceed the double range at m = 160; the
     # ratio loop never forms them
     cases = [
-        (legendre_hat(160, 161.0).value, Family.LEGENDRE),
-        (chebyshev_hat(160, 161.0).value, Family.CHEBYSHEV),
-        (exp_cos_sine_integral(161, -161j), 2),  # U_160 at lam = 161
+        (legendre_hat(160, 161.0).value, legendre_coeffs(160).coeffs),
+        (chebyshev_hat(160, 161.0).value, chebyshev_coeffs(160).coeffs),
+        (exp_cos_sine_integral(161, -161j), u_table(160)),  # U_160 at lam = 161
     ]
-    for value, family in cases:
-        reference = exact_closed_form(family, 160, 161 + 0j)
-        assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), family
+    for kind, (value, coeffs) in enumerate(cases):
+        reference = exact_value(coeffs, 160, 161 + 0j)
+        assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), kind
 
 
 def test_quad_transform_matches_exact_closed_form():
     # the points where the benchmark checks quadrature against its reference
     for family, m, lam in [("chebyshev", 5, 2.0 + 0j), ("legendre", 7, 1 + 1j),
                            ("chebyshev", 12, -15 + 3j), ("legendre", 0, 3j)]:
-        reference = exact_closed_form(Family(family), m, lam)
+        reference = exact_value(coefficient_table(family, m).coeffs, m, lam)
         assert abs(quad_transform(family, m, lam) - reference) <= 1e-13 * (1 + abs(reference))
 
 
@@ -236,7 +260,12 @@ def test_quad_transform_matches_exact_closed_form():
 def exact_real_closed_form(coeffs, m, lam):
     """Closed form over an exact table at real lam: the sums over n are exact
     integers, and mpmath combines them with cos and sin at enough digits for
-    their cancellation."""
+    their cancellation.
+
+    `exact_value` gives the same reference at any complex lam; this one is
+    kept as the fast path for the thousands of real points below, which
+    through `exact_value` take about 3.5 s longer.
+    """
     mpmath = pytest.importorskip("mpmath")
     num, den = lam.as_integer_ratio()
     # num^(m+1) c_n w^n = c_n (-i)^n den^n num^(m+1-n): real at even n, imaginary at odd n
@@ -346,57 +375,6 @@ def test_sweep_from_degree_zero_matches_scalar_path(a):
 # ---------------------------------------------------------------------------
 
 
-def exact_sums(a, m, lam):
-    """s^(m+1) P(w) and s^(m+1) P(-w) as exact Gaussian integers (re, im),
-    where P(w) = sum_n c_n w^n, w = 1/(i lam) = g/s, and c_n is the product
-    of `closed_form_ratios`; returns them with s^(m+1)."""
-    coeffs, c = [], 1
-    for num, den in closed_form_ratios(a, m):
-        c, rem = divmod(c * num, den)
-        assert rem == 0
-        coeffs.append(c)
-    (x, dx), (y, dy) = lam.real.as_integer_ratio(), lam.imag.as_integer_ratio()
-    d = max(dx, dy)  # dx and dy are powers of two; lam = (x + iy)/d
-    x, y = x * (d // dx), y * (d // dy)
-    s, gr, gi = x * x + y * y, -d * y, -d * x
-    pr = pi = qr = qi = 0
-    spow = 1
-    for c in reversed(coeffs):  # Horner: acc = (acc + c_n s^(m+1-n)) g
-        t = c * spow
-        spow *= s
-        pr, pi = (pr + t) * gr - pi * gi, (pr + t) * gi + pi * gr
-        qr, qi = -((qr + t) * gr - qi * gi), -((qr + t) * gi + qi * gr)
-    return (pr, pi), (qr, qi), spow
-
-
-def exact_envelope_value(a, m, lam):
-    """F = e^{i lam} P(w) + (-1)^m e^{-i lam} P(-w) in mpmath, with P exact.
-
-    All the cancellation is in that sum, so it takes log10(largest part /
-    |F|) + 30 digits.  |F| is not known beforehand: start as if it were 1,
-    accept a value that a re-evaluation 20 digits higher matches to 1e-18,
-    and double the digits otherwise.  Returns 0 for |F| below about 1e-290.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    plus, minus, scale = exact_sums(a, m, lam)
-    bits = max(abs(v).bit_length() for v in (*plus, *minus)) - scale.bit_length()
-    big = max(0.0, bits * math.log10(2) + abs(lam.imag) / math.log(10))
-    digits = big + 30
-    while digits < big + 330:
-        values = []
-        for extra in (0, 20):
-            with mpmath.workdps(int(digits) + extra):
-                z = mpmath.mpc(lam.real, lam.imag)
-                total = mpmath.exp(1j * z) * mpmath.mpc(*plus) + (-1) ** m * mpmath.exp(-1j * z) * mpmath.mpc(*minus)
-                values.append(total / scale)
-        low, high = values
-        with mpmath.workdps(int(digits) + 20):
-            if high != 0 and abs(low - high) <= 1e-18 * abs(high):
-                return complex(high)
-        digits *= 2
-    return 0j
-
-
 def envelope_points(seed, count=250):
     """Half m <= 40, half 41 <= m <= 400; |lam| log-uniform in [1e-3, 6m + 10]
     on random, near-real and near-imaginary rays, with |Im lam| <= 650."""
@@ -421,7 +399,7 @@ def test_envelope_to_degree_400_matches_exact_closed_form():
     # would grow with F's own condition number (eps |lam cot lam| for F_0).
     checked = 0
     for family, m, lam in envelope_points(20261018):
-        reference = exact_envelope_value(0 if family is Family.CHEBYSHEV else 1, m, lam)
+        reference = exact_value(exact_ratio_table(0 if family is Family.CHEBYSHEV else 1, m), m, lam)
         if abs(reference) < 1e-290:  # gradual underflow costs the double value its digits
             continue
         value = transform_hat(family, m, lam).value
@@ -448,36 +426,16 @@ def test_parity(family, m):
         assert abs(minus - expected) <= 1e-13 * denom, (family, m, lam)
 
 
-@pytest.mark.parametrize("m", range(21))
-def test_conjugation_for_real_lambda(m):
-    for lam in (1e-3, 0.5, 1.0, 2.0, m + 1.0, m + 5.0):
-        plus = legendre_hat(m, lam).value
-        minus = legendre_hat(m, -lam).value
-        denom = max(abs(plus), abs(minus))
-        if denom == 0:
-            continue
-        assert abs(plus.conjugate() - minus) <= 1e-13 * denom
-
-
-@pytest.mark.parametrize("m", range(21))
-def test_rotated_transform_is_real_for_positive_real_lambda(m):
-    rot = (1.0, 1j, -1.0, -1j)
-    for lam in (1e-3, 0.5, 1.0, 2.0, m + 1.0, m + 5.0):
-        value = legendre_hat(m, lam).value * rot[m % 4]
-        if value == 0:
-            continue
-        assert abs(value.imag) <= 1e-12 * abs(value)
-
-
-@pytest.mark.parametrize("m", range(1, 21))
-def test_legendre_three_term_recurrence(m):
-    for lam in closed_grid(m + 1):
-        up = legendre_hat(m + 1, lam).value
-        mid = legendre_hat(m, lam).value
-        down = legendre_hat(m - 1, lam).value
-        residual = up + (1j / lam) * (2 * m + 1) * mid - down
-        scale = max(abs(up), abs((2 * m + 1) * mid / abs(lam)), abs(down))
-        assert abs(residual) <= 1e-9 * scale, (m, lam)
+# Beyond acceptance criteria 3, 4 and 6 (m <= 20 at 1e-9, 1e-10 and 1e-12):
+# conjugation at a tighter tolerance, the kernel checks to a higher degree.
+@pytest.mark.parametrize("name, max_m, tol", [
+    ("conjugation", 20, 1e-13),
+    ("kernel_recurrence", 64, 1e-9),
+    ("kernel_route", 64, 1e-10),
+])
+def test_check_beyond_acceptance_bounds(name, max_m, tol):
+    result = run_check(name, max_m)
+    assert result.worst <= tol, result
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +475,6 @@ def test_kernel_matches_quadrature(m):
         assert abs(exp_cos_sine_integral(m, z) - reference) <= 1e-13 * (1 + abs(reference)), (m, z)
 
 
-def test_kernel_checks_pass_to_degree_64():
-    assert run_check("kernel_recurrence", 64).worst <= 1e-9
-    assert run_check("kernel_route", 64).worst <= 1e-10
-
-
 def exact_ratio_table(a, m):
     """c_1 .. c_{m+1} as exact running products of the evaluator's ratios."""
     return list(accumulate((Fraction(*r) for r in closed_form_ratios(a, m)), mul))
@@ -536,18 +489,6 @@ def test_u_table_is_the_chebyshev_table_integrated_by_parts():
         assert all(table[n - 1] * m == coeffs[n] for n in range(1, m + 1)), m
 
 
-@pytest.mark.parametrize("m", range(1, 21))
-def test_kernel_recurrence(m):
-    for z in closed_grid(m + 1):
-        up = exp_cos_sine_integral(m + 1, z)
-        mid = exp_cos_sine_integral(m, z)
-        down = exp_cos_sine_integral(m - 1, z)
-        drive = (2.0 / z) * (cmath.exp(z) + (-1) ** (m - 1) * cmath.exp(-z))
-        residual = up + (2.0 * m / z) * mid - down - drive
-        scale = max(abs(up), abs(2.0 * m / z * mid), abs(down), abs(drive))
-        assert abs(residual) <= 1e-9 * scale, (m, z)
-
-
 def test_kernel_route_examples():
     assert abs(chebyshev_hat_via_kernel(0, 1.0) - 2 * math.sin(1.0)) <= 1e-15
     assert abs(chebyshev_hat_via_kernel(1, 1.0) - chebyshev_hat(1, 1.0).value) <= 1e-12
@@ -559,15 +500,6 @@ def test_kernel_route_examples():
     assert abs(via - reference) <= 1e-9 * (1 + abs(reference))
     with pytest.raises(ValueError):
         chebyshev_hat_via_kernel(2, 0.0)
-
-
-@pytest.mark.parametrize("m", range(21))
-def test_kernel_route_equivalence_on_closed_regime(m):
-    for lam in closed_grid(m):
-        direct = chebyshev_hat(m, lam).value
-        via = chebyshev_hat_via_kernel(m, lam)
-        denom = max(abs(direct), abs(via))
-        assert abs(direct - via) <= 1e-9 * denom, (m, lam)
 
 
 def test_exponential_overflow_raises_range_error():
