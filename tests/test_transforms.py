@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fourpoly.bessel import bessel_half
-from fourpoly.checks import closed_grid, run_check
+from fourpoly.checks import _memo_hat, _worst, closed_grid
 from fourpoly.coeffs import Family, chebyshev_coeffs, coefficient_table, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
 from fourpoly.oracle import quad_transform
@@ -426,16 +426,24 @@ def test_parity(family, m):
         assert abs(minus - expected) <= 1e-13 * denom, (family, m, lam)
 
 
-# Beyond acceptance criteria 3, 4 and 6 (m <= 20 at 1e-9, 1e-10 and 1e-12):
-# conjugation at a tighter tolerance, the kernel checks to a higher degree.
-@pytest.mark.parametrize("name, max_m, tol", [
-    ("conjugation", 20, 1e-13),
-    ("kernel_recurrence", 64, 1e-9),
-    ("kernel_route", 64, 1e-10),
-])
-def test_check_beyond_acceptance_bounds(name, max_m, tol):
-    result = run_check(name, max_m)
+SHARED_HAT = _memo_hat()  # each transform value once across the cases below
+
+
+def check_holds(name, max_m, tol):
+    """A `fourpoly.checks` check over every degree <= max_m: a parametrized
+    test's first failing case names the lowest degree that breaks it."""
+    result = _worst(name, max_m, SHARED_HAT)
     assert result.worst <= tol, result
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_conjugation_for_real_lambda(m):
+    check_holds("conjugation", m, 1e-13)  # criterion 6 allows 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_legendre_three_term_recurrence(m):
+    check_holds("legendre_recurrence", m, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +495,21 @@ def test_u_table_is_the_chebyshev_table_integrated_by_parts():
         table, coeffs = [m * c for c in exact_ratio_table(2, m - 1)], chebyshev_coeffs(m).coeffs
         assert list(u_table(m - 1)) == table, m
         assert all(table[n - 1] * m == coeffs[n] for n in range(1, m + 1)), m
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_kernel_recurrence(m):
+    check_holds("kernel_recurrence", m, 1e-9)
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_kernel_route_equivalence_on_closed_regime(m):
+    check_holds("kernel_route", m, 1e-10)
+
+
+def test_kernel_checks_pass_to_degree_64():
+    check_holds("kernel_recurrence", 64, 1e-9)
+    check_holds("kernel_route", 64, 1e-10)
 
 
 def test_kernel_route_examples():
