@@ -13,8 +13,8 @@ import math
 
 # `coefficient_table` is unused here, but bench/tracing.py re-binds it along
 # with `transforms.transform_hat` and `helmholtz.legendre_hat` to count calls.
-from .coeffs import as_degree, coefficient_table  # noqa: F401
-from .transforms import legendre_hat
+from .coeffs import coefficient_table  # noqa: F401
+from .transforms import _checked, legendre_hat
 
 __all__ = ["bessel_half", "legendre_hat_via_bessel"]
 
@@ -26,14 +26,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def bessel_half(m: int, lam: complex) -> complex:
     """J_{m+1/2}(lam) for complex lam; J_{m+1/2}(0) = 0.  A value that is
     not finite raises `OverflowError`."""
-    m = as_degree(m)
-    lam = complex(lam)
-    if lam == 0:  # legendre_hat rejects a lam that is not finite
-        return 0j
-    value = _I_POW[m % 4] * cmath.sqrt(lam) / _SQRT_2PI * legendre_hat(m, lam).value
-    if not cmath.isfinite(value):  # the factor sqrt(lam) can take a finite transform beyond the range
-        raise OverflowError(f"J_(m+1/2) beyond the double range at m={m}, lam={lam}")
-    return value
+    return _checked("J_(m+1/2)", m, "lam", lam,
+                    lambda m, lam: _I_POW[m % 4] * cmath.sqrt(lam) / _SQRT_2PI * legendre_hat(m, lam).value)
 
 
 def legendre_hat_via_bessel(m: int, lam: complex) -> complex:
@@ -45,7 +39,6 @@ def legendre_hat_via_bessel(m: int, lam: complex) -> complex:
     does not (at m = 0, lam = 715i the transform is 4.6e307 and J_{1/2} is
     about 3.5e308).
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("Bessel route requires lam != 0")
-    return _I_POW[(-m) % 4] * _SQRT_2PI / cmath.sqrt(lam) * bessel_half(m, lam)
+    return _checked("Bessel route", m, "lam", lam,
+                    lambda m, lam: _I_POW[(-m) % 4] * _SQRT_2PI / cmath.sqrt(lam) * bessel_half(m, lam),
+                    nonzero=True)

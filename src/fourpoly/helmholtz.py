@@ -39,9 +39,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .coeffs import Family
 # legendre_hat is unused here, but bench/tracing.py re-binds `helmholtz.legendre_hat`
-from .transforms import _recurrence, legendre_hat, zero_lambda_value  # noqa: F401
+from .transforms import _recurrence, legendre_hat  # noqa: F401
 
 __all__ = [
     "SQRT3",
@@ -104,11 +103,9 @@ def dirichlet_hat(lam: complex) -> complex:
 
 def _neumann_hat_columns(n_basis: int, lam: complex) -> np.ndarray:
     """The contribution of each Legendre mode k < n_basis to N(lam), the
-    transform of P_k at mu = i(lam + 1/lam), from one degree sweep."""
-    mu = 1j * (lam + 1.0 / lam)
-    if mu == 0:  # lam = +-i, where the -i lam sweep of the point lam = 1 lands
-        return np.array([float(zero_lambda_value(Family.LEGENDRE, k)) for k in range(n_basis)], dtype=complex)
-    return np.array(_recurrence(1, n_basis - 1, mu, 0))  # a = 1: Legendre
+    transform of P_k at mu = i(lam + 1/lam), from one degree sweep; it is
+    exact at mu = 0, where the -i lam sweep of the point lam = 1 lands."""
+    return np.array(_recurrence(1, n_basis - 1, 1j * (lam + 1.0 / lam), 0))  # a = 1: Legendre
 
 
 def collocation_points(count: int) -> list[complex]:
@@ -232,8 +229,6 @@ def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport
     Requires point_count >= ceil(n_basis / 2) so the system has at least as
     many rows as unknowns.  The condition number refers to the scaled matrix.
     """
-    if n_basis < 1:
-        raise ValueError("need at least one basis function")
     if point_count < max(1, -(-n_basis // 2)):
         raise ValueError("need at least ceil(N/2) collocation points")
     start = time.perf_counter()

@@ -45,27 +45,23 @@ def _recurrence_pair(m: int, x: np.ndarray, chebyshev: bool) -> tuple[np.ndarray
     return prev, cur
 
 
-def _checked_input(x) -> tuple[np.ndarray, bool]:
+def _evaluated(m: int, x, chebyshev: bool):
+    m = as_degree(m)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) <= 1.0):  # also rejects NaN
         raise ValueError("argument outside [-1, 1]")
-    return arr, np.isscalar(x) or arr.ndim == 0
+    vals = _recurrence_pair(m, arr, chebyshev)[0]
+    return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
 
 def eval_chebyshev(m: int, x):
     """T_m(x) on [-1, 1] by the three-term recurrence."""
-    m = as_degree(m)
-    arr, scalar = _checked_input(x)
-    vals = _recurrence_pair(m, arr, chebyshev=True)[0]
-    return float(vals) if scalar else vals
+    return _evaluated(m, x, chebyshev=True)
 
 
 def eval_legendre(m: int, x):
     """P_m(x) on [-1, 1] by the three-term recurrence."""
-    m = as_degree(m)
-    arr, scalar = _checked_input(x)
-    vals = _recurrence_pair(m, arr, chebyshev=False)[0]
-    return float(vals) if scalar else vals
+    return _evaluated(m, x, chebyshev=False)
 
 
 @lru_cache(maxsize=256)
@@ -127,6 +123,8 @@ def quad_transform(family: Family | str, m: int, lam: complex) -> complex:
     fam = as_family(family)
     m = as_degree(m)
     lam = complex(lam)
+    if not abs(lam) < math.inf:  # also rejects NaN
+        raise ValueError("lam must be finite")
     order = 1 << (max(40, m + math.ceil(abs(lam)) + 20) - 1).bit_length()
     if 2 * order <= _MAX_QUAD_ORDER:
         value, _ = _integrate(fam, m, lam, order)

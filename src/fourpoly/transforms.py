@@ -184,6 +184,7 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     neglected F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the
     min covers the Chebyshev F_{k+1}, up to 1/|lam| times F_m for small lam.
     Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
+    At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly.
     The F_k are linear in sin lam and cos lam, so beyond |Im lam| = 700 both
     are taken at |Im lam| = 700, which divides them by e^{|Im lam| - 700} up
     to a relative e^{-1400}, and the F_k are multiplied by it at the end.
@@ -191,7 +192,7 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     excess = abs(lam.imag) - 700.0 if abs(lam.imag) > 700.0 else 0.0
     near = complex(lam.real, math.copysign(700.0, lam.imag)) if excess else lam
     sine = cmath.sin(near)
-    f = 2.0 * sine / lam  # F_0
+    f = 2.0 * sine / lam if lam else 2.0 + 0j  # F_0
     if m == 0:
         return [f * math.exp(excess)] if excess else [f]
     z = 1j * lam
@@ -248,31 +249,43 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
 
 
 def _value(a: int, m: int, lam: complex) -> complex:
-    """F_m at lam != 0: the closed form at or above `regime_threshold(m)`
-    unless its part-sums cancel, the degree recurrence otherwise."""
+    """F_m: the closed form at or above `regime_threshold(m)` unless its
+    part-sums cancel, the degree recurrence otherwise."""
     value, cancellation = _closed_form(a, m, lam) if abs(lam) >= regime_threshold(m) else (0j, math.inf)
     if not cancellation <= _CANCEL_LIMIT:  # NaN too: a term beyond the double range (m >~ 1500)
         value = _recurrence(a, m, lam, m)[0]
     return value
 
 
-def _finite(value: complex, m: int, lam: complex) -> complex:
-    if not cmath.isfinite(value):
-        raise OverflowError(f"transform value beyond the double range at m={m}, lam={lam}")
-    return value
+def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) -> complex:
+    """evaluate(m, arg) for an entry point called with degree m and a finite
+    (and, if asked, nonzero) complex argument `name`.  A result that is not
+    finite raises an `OverflowError` naming `quantity`, m and arg; so does an
+    `OverflowError` raised on the way, by an inner entry point or by math or
+    cmath (e^{|Im lam| - 700} itself overflows from |Im lam| = 1409.78 on)."""
+    m, arg = as_degree(m), complex(arg)
+    if not cmath.isfinite(arg):
+        raise ValueError(f"{name} must be finite")
+    if nonzero and arg == 0:
+        raise ValueError(f"{quantity} requires {name} != 0")
+    try:
+        value = evaluate(m, arg)
+    except OverflowError:
+        value = math.inf
+    if cmath.isfinite(value):
+        return value
+    raise OverflowError(f"{quantity} beyond the double range at m={m}, {name}={arg}")
 
 
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:
     """Finite Fourier transform of the degree-m polynomial, regime-selected."""
     fam = as_family(family)
-    m = as_degree(m)
     lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise ValueError("lam must be finite")
-    if lam == 0:
+    if lam == 0:  # exact, and cheaper than the m rows of the recurrence
         return TransformResult(complex(float(zero_lambda_value(fam, m))), EvalPath.ZERO_LAMBDA)
+    value = _checked("transform value", m, "lam", lam, lambda m, lam: _value(_TWO_ALPHA[fam], m, lam))
     path = EvalPath.CLOSED_FORM if abs(lam) >= regime_threshold(m) else EvalPath.SMALL_LAMBDA_SERIES
-    return TransformResult(_finite(_value(_TWO_ALPHA[fam], m, lam), m, lam), path)
+    return TransformResult(value, path)
 
 
 def chebyshev_hat(m: int, lam: complex) -> TransformResult:
@@ -291,19 +304,20 @@ def legendre_hat(m: int, lam: complex) -> TransformResult:
 
 
 def exp_cos_sine_integral(m: int, z: complex) -> complex:
-    """K(m, z) = int_0^pi e^{z cos w} sin(m w) dw, z != 0.
+    """K(m, z) = int_0^pi e^{z cos w} sin(m w) dw.
 
     K(0, z) = 0; for m >= 1, K is the transform of U_{m-1} at lam = iz (see
-    the module docstring).
+    the module docstring), and K(m, 0) = (1 - (-1)^m)/m.
     """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("kernel integral requires z != 0")
-    if not cmath.isfinite(z):
-        raise ValueError("z must be finite")
-    m = as_degree(m)
-    # the factor m can take a finite F_{m-1} beyond the double range
-    return _finite(m * _value(2, m - 1, 1j * z), m - 1, 1j * z) if m else 0j
+    return _checked("kernel value", m, "z", z, lambda m, z: m * _value(2, m - 1, 1j * z) if m else 0j)
+
+
+def _via_kernel(m: int, lam: complex) -> complex:
+    sign = -1.0 if m % 2 else 1.0
+    kernel = exp_cos_sine_integral(m, -1j * lam)
+    # e^{+-i lam} and m * kernel may overflow before the division: divide first
+    w, plus, minus = 1.0 / (1j * lam), cmath.exp(0.5j * lam), cmath.exp(-0.5j * lam)
+    return plus * (plus * w) * sign - minus * (minus * w) + kernel * w * m
 
 
 def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
@@ -312,11 +326,4 @@ def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
     Uses the U_{m-1} ratios, not the Chebyshev ones; used to cross-check
     `chebyshev_hat` on the closed-form regime.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("kernel route requires lam != 0")
-    sign = -1.0 if m % 2 else 1.0
-    kernel = exp_cos_sine_integral(m, -1j * lam)
-    # e^{+-i lam} and m * kernel may overflow before the division: divide first
-    w, plus, minus = 1.0 / (1j * lam), cmath.exp(0.5j * lam), cmath.exp(-0.5j * lam)
-    return _finite(plus * (plus * w) * sign - minus * (minus * w) + kernel * w * m, m, lam)
+    return _checked("kernel route", m, "lam", lam, _via_kernel, nonzero=True)

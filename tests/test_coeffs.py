@@ -100,25 +100,6 @@ def test_construction_is_exact_and_deterministic_up_to_64():
         assert legendre_coeffs(m).coeffs == b1.coeffs
 
 
-def test_legendre_parity_rules_cover_each_index_once():
-    for m in range(0, 40):
-        covered = set()
-        if m % 2 == 0:
-            covered.add(1)
-            covered.update(range(3, m + 2, 2))
-            covered.update(range(2, m + 1, 2))
-        else:
-            covered.update(range(2, m + 2, 2))
-            covered.update(range(1, m + 1, 2))
-        assert covered == set(range(1, m + 2))
-        # the binomial arguments of the two rules are integers on their branches
-        for n in range(1, m + 2):
-            if (m + n) % 2 == 1 and n != 1:
-                assert (m + n - 3) % 2 == 0
-            elif (m + n) % 2 == 0:
-                assert (m + n) % 2 == 0 and (m - n) % 2 == 0
-
-
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8])
 def test_tables_reproduce_the_transform_integral(family, m):

@@ -57,6 +57,12 @@ def test_quad_transform_rejects_negative_degree(family):
         quad_transform(family, -1, 1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)])
+def test_quad_transform_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        quad_transform("legendre", 2, lam)
+
+
 @pytest.mark.parametrize("order", [1, 2, 8, 40, 81, 160])
 def test_rule_invariants(order):
     rule = gauss_legendre_rule(order)

@@ -8,7 +8,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from fourpoly.bessel import bessel_half
+from fourpoly.bessel import bessel_half, legendre_hat_via_bessel
 from fourpoly.checks import _memo_hat, _worst, closed_grid
 from fourpoly.coeffs import Family, chebyshev_coeffs, coefficient_table, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
@@ -459,8 +459,8 @@ def test_kernel_base_cases():
     expected = 2 * (math.e + 1 / math.e) - 2 * (math.e - 1 / math.e)
     assert abs(k2 - expected) <= 1e-14
     assert abs(k2 - 1.4715177646857693) <= 1e-14
-    with pytest.raises(ValueError):
-        exp_cos_sine_integral(3, 0.0)
+    for m in range(8):  # K(m, 0) = int_0^pi sin(m w) dw, from the recurrence at lam = 0
+        assert exp_cos_sine_integral(m, 0.0) == ((1 - (-1) ** m) / m if m else 0.0), m
     with pytest.raises(ValueError):
         exp_cos_sine_integral(-1, 1.0)
 
@@ -558,6 +558,44 @@ def test_only_non_finite_values_raise_overflow_error():
         chebyshev_hat_via_kernel(155, 715.66j)
     with pytest.raises(OverflowError):  # K(0, z) = 0, and e^{+-i lam} / (i lam) is beyond the range
         chebyshev_hat_via_kernel(0, 717j)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: exp_cos_sine_integral(120, 715.7), OverflowError,
+     "kernel value beyond the double range at m=120, z=(715.7+0j)"),
+    (lambda: chebyshev_hat_via_kernel(155, 715.66j), OverflowError,
+     "kernel route beyond the double range at m=155, lam=715.66j"),
+    (lambda: chebyshev_hat_via_kernel(3, math.nan), ValueError, "lam must be finite"),
+    (lambda: bessel_half(0, 720j), OverflowError, "J_(m+1/2) beyond the double range at m=0, lam=720j"),
+    (lambda: legendre_hat(2, 1410j), OverflowError, "transform value beyond the double range at m=2, lam=1410j"),
+    (lambda: exp_cos_sine_integral(3, 1e6), OverflowError,
+     "kernel value beyond the double range at m=3, z=(1000000+0j)"),
+], ids=["kernel-factor-m", "kernel-route", "kernel-route-nan", "bessel", "legendre-1410i", "kernel-1e6"])
+def test_each_entry_point_names_its_own_error(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+IMAGINARY_1409 = [1410j, -1410j, 1e6j, -1e6j]
+
+
+@pytest.mark.parametrize("evaluate, quantity, name, args", [
+    (lambda m, x: chebyshev_hat(m, x).value, "transform value", "lam", IMAGINARY_1409),
+    (lambda m, x: legendre_hat(m, x).value, "transform value", "lam", IMAGINARY_1409),
+    (exp_cos_sine_integral, "kernel value", "z", [1410, -1410, 1e6, -1e6]),  # lam = iz
+    (chebyshev_hat_via_kernel, "kernel route", "lam", IMAGINARY_1409),
+    (bessel_half, "J_(m+1/2)", "lam", IMAGINARY_1409),
+    (legendre_hat_via_bessel, "Bessel route", "lam", IMAGINARY_1409),
+], ids=["chebyshev", "legendre", "kernel", "kernel_route", "bessel", "bessel_route"])
+def test_overflow_beyond_1409_names_the_entry_point(evaluate, quantity, name, args):
+    # beyond |Im lam| = 1409.78, e^{|Im lam| - 700} itself overflows in math.exp
+    # or cmath.exp; the entry point reports it, not as "math range error"
+    for m in (1, 3, 40) if evaluate is exp_cos_sine_integral else (0, 3, 40):  # K(0, z) = 0
+        for arg in args:
+            with pytest.raises(OverflowError) as raised:
+                evaluate(m, arg)
+            assert str(raised.value) == f"{quantity} beyond the double range at m={m}, {name}={complex(arg)}"
 
 
 def test_closed_form_terms_beyond_double_range_fall_to_recurrence():
