@@ -7,14 +7,15 @@
 
 # # Evaluating the transforms across regimes
 #
-# Three regimes cover the complex plane: the exact rational value at
-# $\lambda = 0$, the explicit closed form for $|\lambda| \ge \max(1, m)$, and
-# below that threshold, where the closed form cancels catastrophically in
-# floating point, the three-term recurrence in the degree solved by Olver's
-# boundary-value algorithm.  The recurrence also takes over above the
-# threshold wherever the closed form's part-sums cancel: near the imaginary
-# axis, and for larger m up to about |lambda| = 3m.  The path names the
-# regime, not the algorithm.
+# Two algorithms cover the complex plane: the explicit closed form for
+# $|\lambda| \ge \max(1, m)$, and below that threshold, where the closed form
+# cancels catastrophically in floating point, the three-term recurrence in the
+# degree solved by Olver's boundary-value algorithm.  At $\lambda = 0$ the
+# recurrence starts from $\hat p_0 = 2$ and gives the exact rational values.
+# The recurrence also takes over above the threshold wherever the closed
+# form's part-sums cancel: near the imaginary axis, and for larger m up to
+# about |lambda| = 3m.  The path names the regime (ZeroLambda, below or above
+# the threshold), not the algorithm.
 
 import numpy as np
 

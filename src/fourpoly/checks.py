@@ -31,19 +31,53 @@ Residuals = Iterator[tuple[float, str]]
 Hat = Callable[[Family, int, complex], complex]
 
 
+# Zeros of J_0 below 66 and of J_1, J_2 below 72 (scipy.special.jn_zeros): there the
+# minimal solution of the Chebyshev (J_0, J_1) or U (J_1, J_2) recurrence vanishes
+# at one of its two anchors
+_BESSEL_J_ZEROS = (
+    (  # J_0
+        2.4048255576957724, 5.520078110286311, 8.653727912911013, 11.791534439014281, 14.930917708487787,
+        18.071063967910924, 21.21163662987926, 24.352471530749302, 27.493479132040253, 30.634606468431976,
+        33.77582021357357, 36.917098353664045, 40.05842576462824, 43.19979171317673, 46.341188371661815,
+        49.482609897397815, 52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166,
+        65.18996480020687,
+    ),
+    (  # J_1
+        3.8317059702075125, 7.015586669815619, 10.173468135062722, 13.323691936314223, 16.470630050877634,
+        19.615858510468243, 22.760084380592772, 25.903672087618382, 29.046828534916855, 32.189679910974405,
+        35.33230755008386, 38.474766234771614, 41.61709421281445, 44.75931899765282, 47.90146088718545,
+        51.043535183571514, 54.18555364106132, 57.32752543790101, 60.46945784534749, 63.61135669848123,
+        66.75322673409849, 69.89507183749578,
+    ),
+    (  # J_2
+        5.135622301840683, 8.417244140399866, 11.61984117214906, 14.795951782351262, 17.959819494987826,
+        21.116997053021844, 24.2701123135731, 27.420573549984557, 30.569204495516395, 33.7165195092227,
+        36.86285651128381, 40.008446733478195, 43.153453778371464, 46.29799667723692, 49.442164110416876,
+        52.58602350681596, 55.72962705320114, 58.87301577261216, 62.01622235921766, 65.1592731907578,
+        68.30218978418345, 71.44498986635786,
+    ),
+)
+
+
 def oracle_grid(m: int) -> list[complex]:
-    """Points across every evaluation regime, mirrored in sign, for degree m."""
+    """Points across every evaluation regime, mirrored in sign, for degree m,
+    and the largest zero of each of J_0, J_1 and J_2 below m."""
     reals = [0.5, 1.0, 2.0, float(m + 1), float(m + 5), m - 0.5, m / 2]
     reals += [math.pi * max(1, round(m / (2 * math.pi))), math.pi * (m // math.pi + 1)]  # sin(lam) = 0
     grid = [complex(v) for v in reals] + [complex(-v) for v in reals]
     grid += [1j, -1j, 2j, 1 + 1j, 3 - 2j, complex(1e-3), 1e-6 * (1 + 1j)]
+    # not mirrored: the checks evaluate -lam as well
+    grid += [complex(max(z for z in zeros if z < m)) for zeros in _BESSEL_J_ZEROS if zeros[0] < m]
     return grid
 
 
 def closed_grid(m: int) -> list[complex]:
-    """Points above the closed-form threshold of degree m, at four phases."""
+    """Points above the closed-form threshold of degree m, at four phases,
+    and the smallest zero of each of J_1 and J_2 above m + 2."""
     phases = [1.0, -1.0, 1j, (1 + 1j) / abs(1 + 1j)]
-    return [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
+    grid = [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
+    grid += [complex(min(z for z in zeros if z > m + 2)) for zeros in _BESSEL_J_ZEROS[1:] if zeros[-1] > m + 2]
+    return grid
 
 
 class CheckResult(namedtuple("CheckResult", "name worst where")):

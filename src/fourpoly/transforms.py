@@ -4,12 +4,12 @@
 
 for complex lam, where p_m is the Gegenbauer polynomial C^(alpha)_m scaled to
 p_m(1) = 1, with a = 2 alpha: T_m at a = 0, P_m at a = 1 and U_m/(m+1) at
-a = 2 (DLMF 18.9).  There are three regimes:
+a = 2 (DLMF 18.9).  There are two regimes:
 
-* lam == 0: exact rational value,
 * |lam| >= max(1, m): the explicit closed form, summed term by term,
-* otherwise: the three-term recurrence in the degree, solved as a
-  boundary-value problem.
+* otherwise, lam = 0 included: the three-term recurrence in the degree,
+  solved as a boundary-value problem; at lam = 0 it starts from F_0 = 2 and
+  gives the exact rational values, rounded once.
 
 The closed form sum_n c_n [e^{i lam} + (-1)^(n+m) e^{-i lam}] (i lam)^-n reads
 none of the paper's integer tables (`coeffs`): as c_n = (-1)^(m+n+1)
@@ -21,8 +21,8 @@ over i lam.  Its largest term grows like (2m-1)!!/|lam|^(m+1), so below
 |lam| ~ m it cancels catastrophically in doubles.  Above the threshold its
 part-sums can still cancel (near the imaginary axis, and for larger m up to
 |lam| ~ 3m); where they do, or where a term leaves the double range, the
-recurrence, whose cost grows with |lam|, takes over.  A non-finite value
-raises `OverflowError`.
+recurrence, whose cost grows with |lam|, takes over.  Only a value beyond the
+double range raises `OverflowError`, also for |Im lam| > 700 (`_uncapped`).
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -75,11 +75,11 @@ __all__ = [
 
 
 class EvalPath(str, Enum):
-    """Which regime of |lam| a transform value lies in.
+    """Which regime of (m, lam) a transform value lies in.
 
-    The strings name the regime, not the algorithm: below the threshold the
-    value comes from the degree recurrence, and above it from the closed form
-    unless that cancels, in which case the recurrence is used as well.
+    The strings name the regime, not the algorithm: at lam = 0 and below the
+    threshold the value comes from the degree recurrence, above it from the
+    closed form unless that cancels, and then from the recurrence as well.
     """
 
     CLOSED_FORM = "ClosedForm"
@@ -99,7 +99,7 @@ def regime_threshold(m: int) -> float:
 
 
 def zero_lambda_value(family: Family | str, m: int):
-    """Exact transform value at lam = 0, as a `fractions.Fraction`."""
+    """Exact transform value at lam = 0, as a `fractions.Fraction`; the checks' reference."""
     from fractions import Fraction  # here, so that importing transforms does not load it
 
     m = as_degree(m)
@@ -118,6 +118,8 @@ def zero_lambda_value(family: Family | str, m: int):
 # the part-sums P and Q have cancelled too far for double accumulation.
 _CANCEL_LIMIT = 256.0
 
+_LN2 = math.log(2.0)
+
 # a = 2 alpha of each family; a = 2 (U_k/(k+1)) serves only the kernel
 _TWO_ALPHA = {Family.CHEBYSHEV: 0, Family.LEGENDRE: 1}
 
@@ -134,12 +136,12 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
 
     For real lam, w = 1/(i lam) is purely imaginary and every product keeps
     its zero component exactly, so parity, conjugation and realness hold
-    exactly.  Beyond |Im lam| = 700, e^{excess} comes out of both exponentials
-    before they can overflow and goes back on the sum.
+    exactly.  Beyond |Im lam| = 700 the exponentials are taken at |Im lam| = 700,
+    as in `_recurrence`, and `_uncapped` puts the factor left out on the sum.
     """
-    excess = abs(lam.imag) - 700.0 if abs(lam.imag) > 700.0 else 0.0
-    e_plus = cmath.exp(1j * lam - excess)
-    e_minus = cmath.exp(-1j * lam - excess)
+    near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
+    e_plus = cmath.exp(1j * near)
+    e_minus = cmath.exp(-1j * near)
     w = 1.0 / (1j * lam)
     term = 1.0 + 0j  # c_0 w^0, so that c_1 is the first ratio
     sign = 1 if m % 2 else -1  # (-1)^(n+m) starting at n = 1
@@ -157,7 +159,19 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     kept = abs(plus) + abs(minus)
     scale = (abs(e_plus) + abs(e_minus)) * magnitude
     value = plus + minus
-    return value * math.exp(excess) if excess else value, scale / kept if kept else math.inf
+    return _uncapped(lam, [value])[0], scale / kept if kept else math.inf
+
+
+def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
+    """values, taken at |Im lam| capped at 700, times e^{|Im lam| - 700} as e^r 2^k
+    with r < ln 2: the factor, which overflows from |Im lam| = 1409.78 on, is
+    never formed, so only a product beyond the double range raises (ldexp)."""
+    excess = abs(lam.imag) - 700.0
+    if excess <= 0.0:
+        return values
+    k = int(excess / _LN2)
+    factor = math.exp(excess - k * _LN2)
+    return [complex(math.ldexp(v.real * factor, k), math.ldexp(v.imag * factor, k)) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +198,15 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     neglected F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the
     min covers the Chebyshev F_{k+1}, up to 1/|lam| times F_m for small lam.
     Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
-    At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly.
-    The F_k are linear in sin lam and cos lam, so beyond |Im lam| = 700 both
-    are taken at |Im lam| = 700, which divides them by e^{|Im lam| - 700} up
-    to a relative e^{-1400}, and the F_k are multiplied by it at the end.
+    At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly
+    (rounded once), and the elimination stops at row max(1, m).  The F_k are
+    linear in sin lam and cos lam, so beyond |Im lam| = 700 both are taken at
+    |Im lam| = 700, which divides them by e^{|Im lam| - 700} up to a relative
+    e^{-1400}, and `_uncapped` multiplies the F_k by it at the end.
     """
-    excess = abs(lam.imag) - 700.0 if abs(lam.imag) > 700.0 else 0.0
-    near = complex(lam.real, math.copysign(700.0, lam.imag)) if excess else lam
+    near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
     sine = cmath.sin(near)
     f = 2.0 * sine / lam if lam else 2.0 + 0j  # F_0
-    if m == 0:
-        return [f * math.exp(excess)] if excess else [f]
     z = 1j * lam
     drive = (2.0 * cmath.cos(near), -2j * sine)  # B_{k+1} for k even, odd
     alam = abs(lam)
@@ -240,7 +252,7 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
         f1, f2 = f, f1
         gs[j] = f  # F_{low+j}; g_{low+j} is not read again
     del gs[m + 1 - low:]
-    return [v * math.exp(excess) for v in gs] if excess else gs
+    return _uncapped(lam, gs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +274,7 @@ def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) 
     (and, if asked, nonzero) complex argument `name`.  A result that is not
     finite raises an `OverflowError` naming `quantity`, m and arg; so does an
     `OverflowError` raised on the way, by an inner entry point or by math or
-    cmath (e^{|Im lam| - 700} itself overflows from |Im lam| = 1409.78 on)."""
+    cmath, as `_uncapped`'s ldexp does for a product beyond the double range)."""
     m, arg = as_degree(m), complex(arg)
     if not cmath.isfinite(arg):
         raise ValueError(f"{name} must be finite")
@@ -278,14 +290,12 @@ def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) 
 
 
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:
-    """Finite Fourier transform of the degree-m polynomial, regime-selected."""
+    """Finite Fourier transform of the degree-m polynomial, by `_value` for every lam, and its regime."""
     fam = as_family(family)
     lam = complex(lam)
-    if lam == 0:  # exact, and cheaper than the m rows of the recurrence
-        return TransformResult(complex(float(zero_lambda_value(fam, m))), EvalPath.ZERO_LAMBDA)
     value = _checked("transform value", m, "lam", lam, lambda m, lam: _value(_TWO_ALPHA[fam], m, lam))
     path = EvalPath.CLOSED_FORM if abs(lam) >= regime_threshold(m) else EvalPath.SMALL_LAMBDA_SERIES
-    return TransformResult(value, path)
+    return TransformResult(value, path if lam else EvalPath.ZERO_LAMBDA)
 
 
 def chebyshev_hat(m: int, lam: complex) -> TransformResult:

@@ -96,6 +96,7 @@ _NEVER_COLD = ["numpy", "dataclasses", "inspect", "fractions", "decimal"]
         (["eval", "--family", "legendre", "--m", "5", "--lambda", "7"], []),
         (["bessel", "--m", "2", "--lambda", "3-1i"], []),
         (["coeffs", "--family", "chebyshev", "--m", "40"], ["fourpoly.transforms", "fourpoly.bessel"]),
+        (["eval", "--family", "chebyshev", "--m", "40", "--lambda", "0"], []),
     ],
 )
 def test_point_commands_load_only_what_they_use(argv, unused):

@@ -8,8 +8,9 @@ from operator import mul
 import numpy as np
 import pytest
 
+from fourpoly import transforms
 from fourpoly.bessel import bessel_half, legendre_hat_via_bessel
-from fourpoly.checks import _memo_hat, _worst, closed_grid
+from fourpoly.checks import _memo_hat, _worst, closed_grid, run_check
 from fourpoly.coeffs import Family, chebyshev_coeffs, coefficient_table, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
 from fourpoly.oracle import quad_transform
@@ -58,10 +59,23 @@ def test_zero_lambda_rationals():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_zero_lambda_values_match_exactly(family):
-    for m in range(31):
+    for m in range(401):
         result = transform_hat(family, m, 0.0)
         assert result.path is EvalPath.ZERO_LAMBDA
         assert result.value == complex(float(zero_lambda_value(family, m)))
+
+
+def test_zero_lambda_check_reads_the_recurrence(monkeypatch):
+    # lam = 0 values come from the degree recurrence, so a recurrence whose
+    # lam = 0 rows are one ulp off fails the check
+    recurrence = transforms._recurrence
+
+    def one_ulp_off(a, m, lam, low):
+        rows = recurrence(a, m, lam, low)
+        return [complex(math.nextafter(v.real, math.inf), v.imag) for v in rows] if lam == 0 else rows
+
+    monkeypatch.setattr(transforms, "_recurrence", one_ulp_off)
+    assert run_check("zero_lambda_values", 8).worst == 1.0
 
 
 def test_path_selection_obeys_threshold():
@@ -589,13 +603,27 @@ IMAGINARY_1409 = [1410j, -1410j, 1e6j, -1e6j]
     (legendre_hat_via_bessel, "Bessel route", "lam", IMAGINARY_1409),
 ], ids=["chebyshev", "legendre", "kernel", "kernel_route", "bessel", "bessel_route"])
 def test_overflow_beyond_1409_names_the_entry_point(evaluate, quantity, name, args):
-    # beyond |Im lam| = 1409.78, e^{|Im lam| - 700} itself overflows in math.exp
-    # or cmath.exp; the entry point reports it, not as "math range error"
+    # at these degrees the values, about e^{|Im lam|}/|lam|, are beyond the
+    # double range; the entry point reports the OverflowError of ldexp or
+    # cmath.exp under its own name, not as "math range error"
     for m in (1, 3, 40) if evaluate is exp_cos_sine_integral else (0, 3, 40):  # K(0, z) = 0
         for arg in args:
             with pytest.raises(OverflowError) as raised:
                 evaluate(m, arg)
             assert str(raised.value) == f"{quantity} beyond the double range at m={m}, {name}={complex(arg)}"
+
+
+def test_values_within_the_double_range_are_returned_beyond_1409():
+    # e^{|Im lam| - 700} overflows from |Im lam| = 1409.78 on, but is applied
+    # as e^r 2^k; references 2 sqrt(pi/2y) I_{m+1/2}(y) by 40-digit mpmath
+    finite = [((2000, 1410j), 3.2987802445605862933e61), ((1800, 1450j), 4.1349206395790844249e185)]
+    for (m, lam), reference in finite:
+        assert abs(legendre_hat(m, lam).value - reference) <= 1e-12 * reference, (m, lam)
+    for m, lam in [(5000, 1410j), (3000, 1420j), (4000, 1500j)]:  # 2.9e-2044, 5.1e-508, 2.9e-1115
+        assert legendre_hat(m, lam).value == 0.0, (m, lam)
+    for m, lam in [(0, 1000j), (3, 1410j)]:  # about e^1000/1000 and e^1410/1410
+        with pytest.raises(OverflowError):
+            legendre_hat(m, lam)
 
 
 def test_closed_form_terms_beyond_double_range_fall_to_recurrence():
