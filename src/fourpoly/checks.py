@@ -61,7 +61,8 @@ _BESSEL_J_ZEROS = (
 
 def oracle_grid(m: int) -> list[complex]:
     """Points across every evaluation regime, mirrored in sign, for degree m,
-    and the largest zero of each of J_0, J_1 and J_2 below m."""
+    and, for m <= 64 (the zero table's range), the largest zero of each of
+    J_0, J_1 and J_2 below m."""
     reals = [0.5, 1.0, 2.0, float(m + 1), float(m + 5), m - 0.5, m / 2]
     reals += [math.pi * max(1, round(m / (2 * math.pi))), math.pi * (m // math.pi + 1)]  # sin(lam) = 0
     grid = [complex(v) for v in reals] + [complex(-v) for v in reals]
@@ -73,7 +74,8 @@ def oracle_grid(m: int) -> list[complex]:
 
 def closed_grid(m: int) -> list[complex]:
     """Points above the closed-form threshold of degree m, at four phases,
-    and the smallest zero of each of J_1 and J_2 above m + 2."""
+    and, for m <= 64 (the zero table's range), the smallest zero of each of
+    J_1 and J_2 above m + 2."""
     phases = [1.0, -1.0, 1j, (1 + 1j) / abs(1 + 1j)]
     grid = [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
     grid += [complex(min(z for z in zeros if z > m + 2)) for zeros in _BESSEL_J_ZEROS[1:] if zeros[-1] > m + 2]

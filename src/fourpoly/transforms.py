@@ -137,7 +137,8 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     For real lam, w = 1/(i lam) is purely imaginary and every product keeps
     its zero component exactly, so parity, conjugation and realness hold
     exactly.  Beyond |Im lam| = 700 the exponentials are taken at |Im lam| = 700,
-    as in `_recurrence`, and `_uncapped` puts the factor left out on the sum.
+    as in `_recurrence`; the value lacks that factor, which `_value` puts on
+    with `_uncapped` only where it keeps the sum.
     """
     near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
     e_plus = cmath.exp(1j * near)
@@ -158,8 +159,7 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     minus = e_minus * part_minus
     kept = abs(plus) + abs(minus)
     scale = (abs(e_plus) + abs(e_minus)) * magnitude
-    value = plus + minus
-    return _uncapped(lam, [value])[0], scale / kept if kept else math.inf
+    return plus + minus, scale / kept if kept else math.inf
 
 
 def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
@@ -263,10 +263,13 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
 def _value(a: int, m: int, lam: complex) -> complex:
     """F_m: the closed form at or above `regime_threshold(m)` unless its
     part-sums cancel, the degree recurrence otherwise."""
-    value, cancellation = _closed_form(a, m, lam) if abs(lam) >= regime_threshold(m) else (0j, math.inf)
-    if not cancellation <= _CANCEL_LIMIT:  # NaN too: a term beyond the double range (m >~ 1500)
-        value = _recurrence(a, m, lam, m)[0]
-    return value
+    if abs(lam) >= regime_threshold(m):
+        value, cancellation = _closed_form(a, m, lam)
+        # a cancelled sum is not rescaled: its noise times e^{|Im lam| - 700}
+        # can overflow where F_m does not
+        if cancellation <= _CANCEL_LIMIT:  # not NaN: a term beyond the double range (m >~ 1500)
+            return _uncapped(lam, [value])[0]
+    return _recurrence(a, m, lam, m)[0]
 
 
 def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) -> complex:

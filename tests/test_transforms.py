@@ -613,10 +613,14 @@ def test_overflow_beyond_1409_names_the_entry_point(evaluate, quantity, name, ar
             assert str(raised.value) == f"{quantity} beyond the double range at m={m}, {name}={complex(arg)}"
 
 
-def test_values_within_the_double_range_are_returned_beyond_1409():
+def test_values_within_the_double_range_are_returned_beyond_700():
     # e^{|Im lam| - 700} overflows from |Im lam| = 1409.78 on, but is applied
-    # as e^r 2^k; references 2 sqrt(pi/2y) I_{m+1/2}(y) by 40-digit mpmath
-    finite = [((2000, 1410j), 3.2987802445605862933e61), ((1800, 1450j), 4.1349206395790844249e185)]
+    # as e^r 2^k; at 740j the closed form cancels, and its noise times e^40
+    # would be beyond the range.  References 2 sqrt(pi/2y) I_{m+1/2}(y) by
+    # 40-digit mpmath
+    assert not _closed_form(1, 228, 740j)[1] <= 256
+    finite = [((2000, 1410j), 3.2987802445605862933e61), ((1800, 1450j), 4.1349206395790844249e185),
+              ((228, 740j), 1.9768523745216031317e303), ((230, 740j), 1.072925511394481366e303)]
     for (m, lam), reference in finite:
         assert abs(legendre_hat(m, lam).value - reference) <= 1e-12 * reference, (m, lam)
     for m, lam in [(5000, 1410j), (3000, 1420j), (4000, 1500j)]:  # 2.9e-2044, 5.1e-508, 2.9e-1115
