@@ -1,11 +1,11 @@
 """Invariant checks of the transform, Bessel and oracle modules.
 
 `CHECKS` maps each check name to a generator of ``(residual, location)``
-pairs over the degrees ``m <= max_m``; `run_check` keeps the worst pair.  A
-NaN residual counts as infinite, so it fails every tolerance.  Exactness
-checks yield 1.0 for any inexact value.  `fourpoly verify` prints
-`run_checks`, and the acceptance suite asserts on `run_check` at its pinned
-tolerances, so both run the same code over the same grids.
+pairs over the degrees ``m <= max_m``, and to the tolerance that the worst
+residual must meet at every degree; `run_check` keeps the worst pair.  NaN
+counts as infinite.  Exactness checks yield 1.0 for any inexact value and
+have tolerance 0.  `fourpoly verify` runs `run_checks` and the acceptance
+suite `run_check`: the same code, grids and tolerances.
 
 Checks read transform values through a memo, ``hat(family, m, lam)``, a
 `functools.lru_cache` that `run_checks` shares across all checks.  Calls go
@@ -82,11 +82,11 @@ def closed_grid(m: int) -> list[complex]:
     return grid
 
 
-class CheckResult(namedtuple("CheckResult", "name worst where")):
+class CheckResult(namedtuple("CheckResult", "name worst where tol")):
     __slots__ = ()
 
-    def passed(self, tol: float) -> bool:
-        return self.worst <= tol
+    def passed(self) -> bool:
+        return self.worst <= self.tol
 
 
 def _relative(a: complex, b: complex) -> float:
@@ -213,35 +213,37 @@ def _quadrature_rule(max_m: int, hat: Hat) -> Residuals:
             yield abs(got - exact), f"(order={order}, x^{power})"
 
 
-# The order is the order in which `fourpoly verify` prints the checks.
-CHECKS: dict[str, Callable[[int, Hat], Residuals]] = {
-    "zero_lambda_values": _zero_lambda_values,
-    "paper_tables": _paper_tables,
-    "oracle_agreement": _oracle_agreement,
-    "parity": _parity,
-    "conjugation": _conjugation,
-    "realness": _realness,
-    "legendre_recurrence": _legendre_recurrence,
-    "kernel_recurrence": _kernel_recurrence,
-    "kernel_route": _kernel_route,
-    "bessel_route": _bessel_route,
-    "bessel_classical": _bessel_classical,
-    "quadrature_rule": _quadrature_rule,
+# In the order `fourpoly verify` prints them; the tolerances are acceptance criteria
+# 1 (exact), 2 and 3 (1e-9), 4 and 5 (1e-10) and 6 (1e-12); none pins `quadrature_rule`.
+CHECKS: dict[str, tuple[Callable[[int, Hat], Residuals], float]] = {
+    "zero_lambda_values": (_zero_lambda_values, 0.0),
+    "paper_tables": (_paper_tables, 0.0),
+    "oracle_agreement": (_oracle_agreement, 1e-9),
+    "parity": (_parity, 1e-12),
+    "conjugation": (_conjugation, 1e-12),
+    "realness": (_realness, 1e-12),
+    "legendre_recurrence": (_legendre_recurrence, 1e-9),
+    "kernel_recurrence": (_kernel_recurrence, 1e-9),
+    "kernel_route": (_kernel_route, 1e-10),
+    "bessel_route": (_bessel_route, 1e-10),
+    "bessel_classical": (_bessel_classical, 1e-10),
+    "quadrature_rule": (_quadrature_rule, 1e-9),
 }
 
 
 def _worst(name: str, max_m: int, hat: Hat) -> CheckResult:
+    residuals, tol = CHECKS[name]
     worst, where = 0.0, "-"
-    for residual, location in CHECKS[name](max_m, hat):
+    for residual, location in residuals(max_m, hat):
         if math.isnan(residual):
             residual = math.inf
         if residual > worst:
             worst, where = residual, location
-    return CheckResult(name, worst, where)
+    return CheckResult(name, worst, where, tol)
 
 
 def run_check(name: str, max_m: int) -> CheckResult:
-    """Worst residual of one check over m <= max_m, and where it occurred."""
+    """Worst residual of one check over m <= max_m, where it occurred, and the check's tolerance."""
     return _worst(name, max_m, _memo_hat())
 
 

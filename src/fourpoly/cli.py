@@ -67,11 +67,11 @@ def _cmd_bessel(args) -> int:
 def _cmd_verify(args) -> int:
     from . import checks
     results = checks.run_checks(args.max_m)
-    ok = all(result.passed(args.tol) for result in results)
+    ok = all(result.passed() for result in results)
     for result in results:
-        status = "PASS" if result.passed(args.tol) else "FAIL"
+        status = "PASS" if result.passed() else "FAIL"
         print(f"{status} {result.name}: max residual {result.worst:.3e} at {result.where}")
-    print(f"verify: {'all checks passed' if ok else 'FAILURES'} (max-m={args.max_m}, tol={args.tol:g})")
+    print(f"verify: {'all checks passed' if ok else 'FAILURES'} (max-m={args.max_m})")
     return 0 if ok else 1
 
 
@@ -102,13 +102,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be finite and non-negative")
     return value
 
 
@@ -145,7 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant check suites")
     p.add_argument("--max-m", dest="max_m", type=_nonnegative_int, default=64)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("solve", help="solve the square boundary problem once")

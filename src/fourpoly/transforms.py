@@ -144,6 +144,8 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     e_plus = cmath.exp(1j * near)
     e_minus = cmath.exp(-1j * near)
     w = 1.0 / (1j * lam)
+    if not w:  # the division overflowed, so |Im lam| > 1e300 and F_m ~ e^{|Im lam|} too
+        raise OverflowError("closed form beyond the double range")
     term = 1.0 + 0j  # c_0 w^0, so that c_1 is the first ratio
     sign = 1 if m % 2 else -1  # (-1)^(n+m) starting at n = 1
     part_plus = 0j  # P = sum c_n w^n, multiplies e^{i lam}

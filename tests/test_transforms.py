@@ -224,10 +224,11 @@ def test_chebyshev_band_anchors(lam):
 
 
 def test_recurrence_survives_small_and_zero_pivots():
-    # lam = sqrt(15) makes a pivot of the Legendre elimination exactly zero;
-    # the two Chebyshev points make one ~1e-7 at k >= m, where plain back
-    # substitution would lose 1e-10
-    cases = [(Family.LEGENDRE, m, math.sqrt(15)) for m in (4, 5, 8)]
+    # at lam = +-sqrt(35) the Legendre pivot of row 3, 1 - lam^2 alpha_2 beta_3
+    # = 1 - 35/35, is exactly zero from the F_1 anchor, for every m >= 6 (below
+    # that the closed form serves); the two Chebyshev points make one ~1e-7 at
+    # k >= m, where plain back substitution would lose 1e-10
+    cases = [(Family.LEGENDRE, m, sign * math.sqrt(35)) for m in (6, 8, 12) for sign in (1, -1)]
     cases += [(Family.CHEBYSHEV, 24, 30.4326), (Family.CHEBYSHEV, 24, 34.1082)]
     for family, m, lam in cases:
         reference = exact_value(coefficient_table(family, m).coeffs, m, complex(lam))
@@ -591,21 +592,23 @@ def test_each_entry_point_names_its_own_error(call, error, message):
     assert str(raised.value) == message
 
 
-IMAGINARY_1409 = [1410j, -1410j, 1e6j, -1e6j]
+# |Im lam| beyond 1409.78, and a point where 1/(i lam) overflows to 0
+BEYOND_1409 = [1410j, -1410j, 1e6j, -1e6j, 9e307 + 9e307j]
 
 
 @pytest.mark.parametrize("evaluate, quantity, name, args", [
-    (lambda m, x: chebyshev_hat(m, x).value, "transform value", "lam", IMAGINARY_1409),
-    (lambda m, x: legendre_hat(m, x).value, "transform value", "lam", IMAGINARY_1409),
-    (exp_cos_sine_integral, "kernel value", "z", [1410, -1410, 1e6, -1e6]),  # lam = iz
-    (chebyshev_hat_via_kernel, "kernel route", "lam", IMAGINARY_1409),
-    (bessel_half, "J_(m+1/2)", "lam", IMAGINARY_1409),
-    (legendre_hat_via_bessel, "Bessel route", "lam", IMAGINARY_1409),
+    (lambda m, x: chebyshev_hat(m, x).value, "transform value", "lam", BEYOND_1409),
+    (lambda m, x: legendre_hat(m, x).value, "transform value", "lam", BEYOND_1409),
+    (exp_cos_sine_integral, "kernel value", "z", [1410, -1410, 1e6, -1e6, 9e307 - 9e307j]),  # lam = iz
+    (chebyshev_hat_via_kernel, "kernel route", "lam", BEYOND_1409),
+    (bessel_half, "J_(m+1/2)", "lam", BEYOND_1409),
+    (legendre_hat_via_bessel, "Bessel route", "lam", BEYOND_1409),
 ], ids=["chebyshev", "legendre", "kernel", "kernel_route", "bessel", "bessel_route"])
 def test_overflow_beyond_1409_names_the_entry_point(evaluate, quantity, name, args):
     # at these degrees the values, about e^{|Im lam|}/|lam|, are beyond the
     # double range; the entry point reports the OverflowError of ldexp or
-    # cmath.exp under its own name, not as "math range error"
+    # cmath.exp under its own name, not as "math range error", and at
+    # 9e307 + 9e307j raises at once instead of sizing the recurrence by |lam|
     for m in (1, 3, 40) if evaluate is exp_cos_sine_integral else (0, 3, 40):  # K(0, z) = 0
         for arg in args:
             with pytest.raises(OverflowError) as raised:
