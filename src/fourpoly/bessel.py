@@ -2,9 +2,10 @@
 
 The Legendre transform and J_{m+1/2} differ only by the factor
 i^{-m} sqrt(2 pi / lam), so J_{m+1/2}(lam) = i^m sqrt(lam / (2 pi)) times the
-transform, evaluated by `legendre_hat` in whichever regime lam falls.  All
-square roots are principal, which makes the transform <-> Bessel conversion
-an exact inverse pair everywhere including the negative real axis.
+transform, evaluated by `legendre_hat` in whichever regime lam falls.  The
+square root is principal, also on the negative real axis.  The check
+`bessel_route` compares this with the spherical Bessel route of DLMF 10.47.3
+and 10.54.2, which reads the transform at -lam.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 from .coeffs import coefficient_table  # noqa: F401
 from .transforms import _checked, legendre_hat
 
-__all__ = ["bessel_half", "legendre_hat_via_bessel"]
+__all__ = ["bessel_half"]
 
 _I_POW = (1.0, 1j, -1.0, -1j)  # i**k for k mod 4, exact
 
@@ -28,17 +29,3 @@ def bessel_half(m: int, lam: complex) -> complex:
     not finite raises `OverflowError`."""
     return _checked("J_(m+1/2)", m, "lam", lam,
                     lambda m, lam: _I_POW[m % 4] * cmath.sqrt(lam) / _SQRT_2PI * legendre_hat(m, lam).value)
-
-
-def legendre_hat_via_bessel(m: int, lam: complex) -> complex:
-    """Legendre transform recovered from J_{m+1/2}; requires lam != 0.
-
-    Route-equivalence oracle for `legendre_hat`: both sides use the
-    principal square root of lam.  The route raises `OverflowError` wherever
-    J_{m+1/2}(lam) itself leaves the double range, even where the transform
-    does not (at m = 0, lam = 715i the transform is 4.6e307 and J_{1/2} is
-    about 3.5e308).
-    """
-    return _checked("Bessel route", m, "lam", lam,
-                    lambda m, lam: _I_POW[(-m) % 4] * _SQRT_2PI / cmath.sqrt(lam) * bessel_half(m, lam),
-                    nonzero=True)

@@ -5,7 +5,10 @@ pairs over the degrees ``m <= max_m``, and to the tolerance that the worst
 residual must meet at every degree; `run_check` keeps the worst pair.  NaN
 counts as infinite.  Exactness checks yield 1.0 for any inexact value and
 have tolerance 0.  `fourpoly verify` runs `run_checks` and the acceptance
-suite `run_check`: the same code, grids and tolerances.
+suite `run_check`: the same code, grids and tolerances.  `bessel_route`
+reads the Legendre transform on both sides, so it tests the Bessel factor,
+its branch and the transform's parity; a wrong transform is
+`oracle_agreement`'s to catch.
 
 Checks read transform values through a memo, ``hat(family, m, lam)``, a
 `functools.lru_cache` that `run_checks` shares across all checks.  Calls go
@@ -183,10 +186,13 @@ def _kernel_route(max_m: int, hat: Hat) -> Residuals:
 
 
 def _bessel_route(max_m: int, hat: Hat) -> Residuals:
+    """`bessel_half` against J_{m+1/2}(lam) = sqrt(2 lam / pi) j_m(lam) (DLMF 10.47.3),
+    with j_m(lam) = (-i)^m / 2 times the Legendre transform at -lam (DLMF 10.54.2)."""
+    minus_i_pow = (1.0, -1j, -1.0, 1j)
     for m in range(max_m + 1):
         for lam in closed_grid(m):
-            direct = hat(Family.LEGENDRE, m, lam)
-            yield _relative(direct, bessel.legendre_hat_via_bessel(m, lam)), f"(m={m}, lam={lam})"
+            dlmf = cmath.sqrt(2.0 * lam / math.pi) * minus_i_pow[m % 4] / 2.0 * hat(Family.LEGENDRE, m, -lam)
+            yield _relative(bessel.bessel_half(m, lam), dlmf), f"(m={m}, lam={lam})"
 
 
 def _bessel_classical(max_m: int, hat: Hat) -> Residuals:

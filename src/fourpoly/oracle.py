@@ -1,8 +1,8 @@
-"""Independent brute-force checks: polynomial evaluation by recurrence and
-Gauss-Legendre quadrature of the defining transform integrals.
+"""Independent brute-force check: Gauss-Legendre quadrature of the defining
+transform integrals.
 
-One three-term loop serves the polynomial values and the Newton step of the
-node iteration, and `gauss_legendre_rule` caches the rules it builds.
+One three-term loop gives the polynomial values at the nodes and the Newton
+step of the node iteration, and `gauss_legendre_rule` caches the rules it builds.
 Nothing here touches the coefficient tables or the regime-split evaluators,
 so agreement between `quad_transform` and `transforms` validates both sides.
 """
@@ -16,13 +16,7 @@ import numpy as np
 
 from .coeffs import Family, as_degree, as_family
 
-__all__ = [
-    "QuadratureRule",
-    "eval_chebyshev",
-    "eval_legendre",
-    "gauss_legendre_rule",
-    "quad_transform",
-]
+__all__ = ["QuadratureRule", "gauss_legendre_rule", "quad_transform"]
 
 _MAX_QUAD_ORDER = 4096
 
@@ -43,25 +37,6 @@ def _recurrence_pair(m: int, x: np.ndarray, chebyshev: bool) -> tuple[np.ndarray
         else:
             prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
     return prev, cur
-
-
-def _evaluated(m: int, x, chebyshev: bool):
-    m = as_degree(m)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0):  # also rejects NaN
-        raise ValueError("argument outside [-1, 1]")
-    vals = _recurrence_pair(m, arr, chebyshev)[0]
-    return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
-
-
-def eval_chebyshev(m: int, x):
-    """T_m(x) on [-1, 1] by the three-term recurrence."""
-    return _evaluated(m, x, chebyshev=True)
-
-
-def eval_legendre(m: int, x):
-    """P_m(x) on [-1, 1] by the three-term recurrence."""
-    return _evaluated(m, x, chebyshev=False)
 
 
 @lru_cache(maxsize=256)

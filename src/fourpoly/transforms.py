@@ -115,8 +115,10 @@ def zero_lambda_value(family: Family | str, m: int):
 # ---------------------------------------------------------------------------
 
 # Once sum |term| exceeds this multiple of |e^{i lam} P| + |e^{-i lam} Q|,
-# the part-sums P and Q have cancelled too far for double accumulation.
-_CANCEL_LIMIT = 256.0
+# the part-sums P and Q have cancelled too far for double accumulation: at
+# ratio 244 (T_16 at a zero of J_2) the closed form is off by 7.4e-13
+# relative, the recurrence by 1.6e-14.
+_CANCEL_LIMIT = 64.0
 
 _LN2 = math.log(2.0)
 

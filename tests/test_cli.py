@@ -206,7 +206,7 @@ def test_run_checks_evaluates_each_transform_value_once(monkeypatch):
         return exact(family, m, lam)
 
     monkeypatch.setattr(transforms, "transform_hat", counting)
-    # the Bessel route under test evaluates the transform itself; keep it out of the count
+    # `bessel_half`, under test, evaluates the transform itself; keep it out of the count
     monkeypatch.setattr(bessel, "legendre_hat", lambda m, lam: exact(Family.LEGENDRE, m, lam))
     checks.run_checks(8)
     assert seen and max(seen.values()) == 1

@@ -24,8 +24,13 @@ from fourpoly.helmholtz import (
     scale_system,
     solve,
 )
-from fourpoly.oracle import eval_legendre, gauss_legendre_rule
+from fourpoly.oracle import _recurrence_pair, gauss_legendre_rule
 from fourpoly.transforms import _recurrence, legendre_hat, zero_lambda_value
+
+
+def legendre(l, x):
+    """P_l(x) by the quadrature oracle's three-term recurrence."""
+    return _recurrence_pair(l, x, chebyshev=False)[0]
 
 
 def neumann_column(k, lam):
@@ -143,7 +148,7 @@ def test_neumann_hat_column_values():
     assert neumann_column(0, 1j) == 2.0
     assert neumann_column(3, 1j) == 0.0
     rule = gauss_legendre_rule(60)
-    ref = complex(np.sum(rule.weights * np.exp(2.0 * rule.nodes) * eval_legendre(2, rule.nodes)))
+    ref = complex(np.sum(rule.weights * np.exp(2.0 * rule.nodes) * legendre(2, rule.nodes)))
     assert abs(neumann_column(2, 1.0) - ref) <= 1e-10 * abs(ref)
 
 
@@ -395,7 +400,7 @@ def _projection_coefficients(n):
     rule = gauss_legendre_rule(80)
     values = exact_neumann(rule.nodes)
     return np.array([
-        (2 * l + 1) / 2.0 * float(np.sum(rule.weights * values * eval_legendre(l, rule.nodes)))
+        (2 * l + 1) / 2.0 * float(np.sum(rule.weights * values * legendre(l, rule.nodes)))
         for l in range(n)
     ])
 
@@ -413,7 +418,7 @@ def test_reconstruct_matches_direct_legendre_sum():
     coeffs = np.array([0.3, -1.2, 0.0, 2.5, -0.7])
     expansion = NeumannExpansion(coeffs)
     y = np.linspace(-1, 1, 7)
-    direct = sum(c * eval_legendre(l, y) for l, c in enumerate(coeffs))
+    direct = sum(c * legendre(l, y) for l, c in enumerate(coeffs))
     assert np.max(np.abs(expansion.reconstruct(y) - direct)) <= 1e-14
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fourpoly import transforms
-from fourpoly.bessel import bessel_half, legendre_hat_via_bessel
+from fourpoly.bessel import bessel_half
 from fourpoly.checks import _memo_hat, _worst, closed_grid, run_check
 from fourpoly.coeffs import Family, chebyshev_coeffs, coefficient_table, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
@@ -327,6 +327,15 @@ def test_chebyshev_spike_and_kernel_points_match_exact_closed_form():
             assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (k, lam)
 
 
+def test_cancelled_closed_form_falls_to_recurrence_at_a_zero_of_j2():
+    # at this zero of J_2 the Chebyshev closed form of degree 16 sums terms 244
+    # times its two part-sums, and is off by 7.4e-13 relative
+    lam = 21.116997053021844
+    assert _closed_form(0, 16, lam)[1] > transforms._CANCEL_LIMIT
+    reference = exact_real_closed_form(chebyshev_coeffs(16).coeffs, 16, lam)
+    assert abs(chebyshev_hat(16, lam).value - reference) <= 1e-13 * abs(reference)
+
+
 @EACH_A
 def test_zeros_of_bessel_j_match_exact_closed_form(a):
     # the minimal solutions go like J_0, J_1 (Chebyshev) and J_1, J_2 (U) at
@@ -602,8 +611,7 @@ BEYOND_1409 = [1410j, -1410j, 1e6j, -1e6j, 9e307 + 9e307j]
     (exp_cos_sine_integral, "kernel value", "z", [1410, -1410, 1e6, -1e6, 9e307 - 9e307j]),  # lam = iz
     (chebyshev_hat_via_kernel, "kernel route", "lam", BEYOND_1409),
     (bessel_half, "J_(m+1/2)", "lam", BEYOND_1409),
-    (legendre_hat_via_bessel, "Bessel route", "lam", BEYOND_1409),
-], ids=["chebyshev", "legendre", "kernel", "kernel_route", "bessel", "bessel_route"])
+], ids=["chebyshev", "legendre", "kernel", "kernel_route", "bessel"])
 def test_overflow_beyond_1409_names_the_entry_point(evaluate, quantity, name, args):
     # at these degrees the values, about e^{|Im lam|}/|lam|, are beyond the
     # double range; the entry point reports the OverflowError of ldexp or
@@ -621,7 +629,7 @@ def test_values_within_the_double_range_are_returned_beyond_700():
     # as e^r 2^k; at 740j the closed form cancels, and its noise times e^40
     # would be beyond the range.  References 2 sqrt(pi/2y) I_{m+1/2}(y) by
     # 40-digit mpmath
-    assert not _closed_form(1, 228, 740j)[1] <= 256
+    assert not _closed_form(1, 228, 740j)[1] <= transforms._CANCEL_LIMIT
     finite = [((2000, 1410j), 3.2987802445605862933e61), ((1800, 1450j), 4.1349206395790844249e185),
               ((228, 740j), 1.9768523745216031317e303), ((230, 740j), 1.072925511394481366e303)]
     for (m, lam), reference in finite:
@@ -637,7 +645,7 @@ def test_closed_form_terms_beyond_double_range_fall_to_recurrence():
     # the largest term at m = 2000, lam = 2000 is ~10^400: the closed form is
     # NaN, fails the cancellation test, and the recurrence gives the value
     _, cancellation = _closed_form(1, 2000, 2000.0)
-    assert not cancellation <= 256
+    assert not cancellation <= transforms._CANCEL_LIMIT
     assert legendre_hat(2000, 2000.0).value == 0.0019173714582724126
 
 
