@@ -158,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _failures(command: str) -> tuple[type[Exception], ...]:
     """The errors that exit 1: any RuntimeError, and a failed solve or rows beyond the double range."""
     if command in ("solve", "study"):  # the handler has loaded helmholtz, and so numpy
-        from .helmholtz import DegenerateSystemError, np
-        return (RuntimeError, OverflowError, np.linalg.LinAlgError, DegenerateSystemError)
+        from .helmholtz import np
+        return (RuntimeError, OverflowError, np.linalg.LinAlgError)
     return (RuntimeError,)
 
 

@@ -12,18 +12,21 @@ Writing a(lam) = lam + 1/lam, the boundary integrals on the left side are
 
     D(lam) = int e^{a y} u(-1, y) dy,      N(lam) = int e^{a y} q(y) dy,
 
-and since e^{a y} = e^{-i mu y} with mu = i a, each Legendre basis column of
-N is a transform value from `transforms`; one degree sweep of its recurrence
-gives all N columns at a shifted point.  The frequency at i lam is exactly
-minus the one at -i lam, so the columns there are the -i lam ones times
-(-1)^k, and each point takes two sweeps.  Collocating the two relations
+and since e^{a y} = e^{-i mu y} with mu = i a, N(lam) = N^(i a), where
+N^(mu) = int e^{-i mu y} q(y) dy has a transform value from `transforms` as
+each Legendre basis column.  A point lam has two frequencies,
 
-    cos(lam - 1/lam) N(lam) + cos(i lam - 1/(i lam)) N(-+ i lam)
-        = (lam - 1/lam) sin(lam - 1/lam) D(lam)
-          + (i lam - 1/(i lam)) sin(i lam - 1/(i lam)) D(-+ i lam)
+    z1 = lam - 1/lam,      z2 = i lam - 1/(i lam) = i (lam + 1/lam),
+
+with N(lam) = N^(z2) and N(-+ i lam) = N^(+-z1), so each point takes two
+degree sweeps of the recurrence, at z2 and at z1; the columns of N^(-z1) are
+exactly those of N^(z1) times (-1)^k.  Collocating the two relations
+
+    cos z1 N^(z2) + cos z2 N^(+-z1) = z1 sin z1 D(lam) + z2 sin z2 D(-+ i lam)
 
 at M points gives a 2M x N linear system, row/column equilibrated in the
-l1 norm and solved by least squares.
+l1 norm and solved by least squares; a system with a zero row or column
+cannot be equilibrated and raises `np.linalg.LinAlgError`, as `lstsq` does.
 
 The exact solution u = cosh(x) cosh(sqrt(3) y) + cosh(sqrt(3) x) cosh(y)
 (which reproduces the data and satisfies the equation) supplies the error
@@ -44,7 +47,6 @@ from .transforms import _recurrence, legendre_hat  # noqa: F401
 
 __all__ = [
     "SQRT3",
-    "DegenerateSystemError",
     "dirichlet_trace",
     "exact_neumann",
     "dirichlet_hat",
@@ -62,10 +64,6 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 
 REPORT_CSV_HEADER = "N,M,E_inf,cond,residual,seconds"
-
-
-class DegenerateSystemError(ValueError):
-    """A collocation system with a zero row or column cannot be equilibrated."""
 
 
 def dirichlet_trace(y):
@@ -99,13 +97,6 @@ def dirichlet_hat(lam: complex) -> complex:
     if not cmath.isfinite(value):
         raise OverflowError(f"boundary transform beyond the double range at lam={lam}")
     return value
-
-
-def _neumann_hat_columns(n_basis: int, lam: complex) -> np.ndarray:
-    """The contribution of each Legendre mode k < n_basis to N(lam), the
-    transform of P_k at mu = i(lam + 1/lam), from one degree sweep; it is
-    exact at mu = 0, where the -i lam sweep of the point lam = 1 lands."""
-    return np.array(_recurrence(1, n_basis - 1, 1j * (lam + 1.0 / lam), 0))  # a = 1: Legendre
 
 
 def collocation_points(count: int) -> list[complex]:
@@ -158,10 +149,9 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         except (OverflowError, ValueError):  # cmath's range error, or its domain error at an infinite 1/lam
             rhs[2 * r] = math.nan  # marks the point as not finite for the check below
             break
-        base = c1 * _neumann_hat_columns(n_basis, lam)
-        # mu(i lam) = -mu(-i lam) and p_k-hat(-mu) = (-1)^k p_k-hat(mu), both
-        # exactly, so the -i lam sweep also gives the i lam columns
-        turned = c2 * _neumann_hat_columns(n_basis, -1j * lam)
+        # sweep only after the checks above: at lam = 1e-300 a sweep would size its table at 2|z2| rows
+        base = c1 * np.array(_recurrence(1, n_basis - 1, z2, 0))  # a = 1: Legendre
+        turned = c2 * np.array(_recurrence(1, n_basis - 1, z1, 0))
         rows[2 * r] = base + turned
         rows[2 * r + 1] = base + parity * turned
         rhs[2 * r] = rhs[2 * r + 1] = f1 * d_lam + f2 * d_turned
@@ -180,10 +170,10 @@ def scale_system(system: CollocationSystem) -> tuple[CollocationSystem, np.ndarr
     """
     row_norms = np.sum(np.abs(system.matrix), axis=1)
     if np.any(row_norms == 0.0):
-        raise DegenerateSystemError("degenerate system: zero row")
+        raise np.linalg.LinAlgError("degenerate system: zero row")
     col_norms = np.sum(np.abs(system.matrix) / row_norms[:, None], axis=0)
     if np.any(col_norms == 0.0):
-        raise DegenerateSystemError("degenerate system: zero column")
+        raise np.linalg.LinAlgError("degenerate system: zero column")
     matrix = system.matrix / row_norms[:, None] / col_norms[None, :]
     return CollocationSystem(matrix, system.rhs / row_norms), col_norms
 

@@ -9,12 +9,10 @@ import pytest
 from fourpoly import helmholtz
 from fourpoly.coeffs import Family
 from fourpoly.helmholtz import (
-    DegenerateSystemError,
     CollocationSystem,
     NeumannExpansion,
     SQRT3,
     _cosh_integral,
-    _neumann_hat_columns,
     assemble_system,
     collocation_points,
     dirichlet_hat,
@@ -31,6 +29,17 @@ from fourpoly.transforms import _recurrence, legendre_hat, zero_lambda_value
 def legendre(l, x):
     """P_l(x) by the quadrature oracle's three-term recurrence."""
     return _recurrence_pair(l, x, chebyshev=False)[0]
+
+
+def frequencies(lam):
+    """The two frequencies of a point, z1 = lam - 1/lam and z2 = i(lam + 1/lam)."""
+    lam = complex(lam)
+    return lam - 1.0 / lam, 1j * (lam + 1.0 / lam)
+
+
+def legendre_sweep(n, mu):
+    """The Legendre columns p_k-hat(mu), k < n, from one degree sweep."""
+    return np.array(_recurrence(1, n - 1, mu, 0))
 
 
 def neumann_column(k, lam):
@@ -212,14 +221,15 @@ def test_assembled_rows_match_scalar_columns(n_basis, rule):
 
 
 def test_columns_at_zero_frequency_are_exact():
-    # lam = 1 puts both rotated points at mu = 0, where the degree sweep gives
+    # z1 = 0 at lam = 1 and z2 = 0 at lam = i, where the degree sweep gives
     # the exact values bit for bit (signed zeros included): p_0 integrates to
     # 2 and the other Legendre modes to 0
+    zeros = (frequencies(1.0)[0], frequencies(1j)[1])
     for n in (1, 2, 20, 64, 200):
         expected = np.zeros(n, dtype=complex)
         expected[0] = 2.0
-        for shifted in (-1j, 1j):
-            assert _neumann_hat_columns(n, shifted).tobytes() == expected.tobytes(), (n, shifted)
+        for mu in zeros:
+            assert legendre_sweep(n, mu).tobytes() == expected.tobytes(), (n, mu)
     # the same sweep at a = 0, 1, 2: T_k, P_k (zero_lambda_value) and
     # U_k/(k+1), whose integral is 2/(k+1)^2 for even k and 0 for odd k
     exact = {
@@ -234,29 +244,47 @@ def test_columns_at_zero_frequency_are_exact():
 
 
 def test_turned_columns_differ_by_parity_exactly():
-    # mu(i lam) = -mu(-i lam) and p_k-hat(-mu) = (-1)^k p_k-hat(mu), bit for
-    # bit, which lets assembly take the i lam columns from the -i lam sweep
+    # p_k-hat(-mu) = (-1)^k p_k-hat(mu) bit for bit, and the frequency at
+    # i lam is -z1, which lets assembly take the i lam columns from the z1 sweep
     rng = np.random.default_rng(11)
     randoms = rng.uniform(-20.0, 20.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
     lams = [*collocation_points(40), *rotated_points(40), *randoms]
     parity = (-1.0) ** np.arange(40)
     for lam in lams:
-        turned = _neumann_hat_columns(40, -1j * lam)
-        assert np.array_equal(_neumann_hat_columns(40, 1j * lam), parity * turned), lam
+        z1 = frequencies(lam)[0]
+        assert np.array_equal(legendre_sweep(40, -z1), parity * legendre_sweep(40, z1)), lam
+
+
+def record_sweeps(monkeypatch):
+    """Patch assembly's degree sweep to record each frequency it is called at."""
+    calls = []
+    sweep = helmholtz._recurrence
+
+    def recorded(a, m, mu, low):
+        calls.append(mu)
+        # a sweep sizes its table at about 2|mu| rows; fail instead of building it
+        assert abs(mu) < 1e6, f"sweep at mu={mu}"
+        return sweep(a, m, mu, low)
+
+    monkeypatch.setattr(helmholtz, "_recurrence", recorded)
+    return calls
 
 
 def test_assembly_sweeps_twice_per_point(monkeypatch):
-    calls = []
-    sweep = helmholtz._neumann_hat_columns
-
-    def counted(n_basis, lam):
-        calls.append(lam)
-        return sweep(n_basis, lam)
-
-    monkeypatch.setattr(helmholtz, "_neumann_hat_columns", counted)
+    calls = record_sweeps(monkeypatch)
     points = rotated_points(12)
     assemble_system(8, points)
-    assert len(calls) == 2 * len(points)
+    expected = [z for lam in points for z in reversed(frequencies(lam))]  # z2, then z1
+    assert np.array(calls).tobytes() == np.array(expected).tobytes()
+
+
+def test_assembly_checks_a_point_before_sweeping_it(monkeypatch):
+    # at lam = 1e-300 a sweep would size its table at about 2e300 rows, so
+    # the point must fail its range checks before any sweep at it starts
+    calls = record_sweeps(monkeypatch)
+    with pytest.raises(OverflowError, match=re.escape(f"lam={complex(1e-300)}")):
+        assemble_system(8, [1.0, 1e-300])
+    assert np.array(calls).tobytes() == np.array(list(reversed(frequencies(1.0)))).tobytes()
 
 
 def test_assemble_zero_dirichlet_data_gives_zero_rhs():
@@ -305,13 +333,13 @@ def test_scaling_degenerate_inputs():
         np.array([[0.0, 0.0], [1.0, 2.0]], dtype=complex),
         np.zeros(2, dtype=complex),
     )
-    with pytest.raises(DegenerateSystemError):
+    with pytest.raises(np.linalg.LinAlgError):
         scale_system(zero_row)
     zero_col = CollocationSystem(
         np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex),
         np.zeros(2, dtype=complex),
     )
-    with pytest.raises(DegenerateSystemError):
+    with pytest.raises(np.linalg.LinAlgError):
         scale_system(zero_col)
 
 
