@@ -7,15 +7,19 @@
 
 # # Evaluating the transforms across regimes
 #
-# Two algorithms cover the complex plane: the explicit closed form for
-# $|\lambda| \ge \max(1, m)$, and below that threshold, where the closed form
-# cancels catastrophically in floating point, the three-term recurrence in the
-# degree solved by Olver's boundary-value algorithm.  At $\lambda = 0$ the
-# recurrence starts from $\hat p_0 = 2$ and gives the exact rational values.
-# The recurrence also takes over above the threshold wherever the closed
-# form's part-sums cancel: near the imaginary axis, and for larger m up to
-# about |lambda| = 3m.  The path names the regime (ZeroLambda, below or above
-# the threshold), not the algorithm.
+# Three algorithms cover the complex plane, each where it is stable and
+# cheapest.  The explicit closed form serves where
+# $|\lambda| \ge \max(1, m, m^2/8)$ unless its part-sums cancel: below about
+# m^2/8 its terms outgrow the result.  Forward substitution in the
+# three-term recurrence in the degree serves where $|\lambda| > m$ and the
+# imaginary part is small ($m^2 |\mathrm{Im}\,\lambda| \le 2|\lambda|^2$,
+# $|\mathrm{Im}\,\lambda| \le 700$), in m rows.  Everywhere else, below
+# $|\lambda| = m$ in particular, the same recurrence is solved by Olver's
+# boundary-value algorithm; at $\lambda = 0$ it starts from $\hat p_0 = 2$ and
+# gives the exact rational values.  The path names the regime (ZeroLambda,
+# below or at and above $\max(1, m)$), not the algorithm, as it did when
+# only two algorithms served: the benchmark checks and traces each value by
+# it.
 
 import numpy as np
 
@@ -39,8 +43,8 @@ for m in range(13):
         worst = max(worst, abs(chebyshev_hat(m, lam).value - ref) / (1 + abs(ref)))
 print(f"  {worst:.3e}")
 
-# Why the closed form is not used below the threshold: it loses digits to
-# cancellation there.  Here is the naive closed form at m=12, lam=2 against
+# Why the closed form is not used below |lambda| = max(1, m): it loses
+# digits to cancellation there.  Here is the naive closed form at m=12, lam=2 against
 # the recurrence value the library actually returns:
 
 from fourpoly.coeffs import legendre_coeffs

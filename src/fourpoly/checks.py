@@ -76,13 +76,9 @@ def oracle_grid(m: int) -> list[complex]:
 
 
 def closed_grid(m: int) -> list[complex]:
-    """Points above the closed-form threshold of degree m, at four phases,
-    and, for m <= 64 (the zero table's range), the smallest zero of each of
-    J_1 and J_2 above m + 2."""
+    """Points above the closed-form threshold of degree m, at four phases."""
     phases = [1.0, -1.0, 1j, (1 + 1j) / abs(1 + 1j)]
-    grid = [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
-    grid += [complex(min(z for z in zeros if z > m + 2)) for zeros in _BESSEL_J_ZEROS[1:] if zeros[-1] > m + 2]
-    return grid
+    return [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
 
 
 class CheckResult(namedtuple("CheckResult", "name worst where tol")):
@@ -180,7 +176,10 @@ def _kernel_recurrence(max_m: int, hat: Hat) -> Residuals:
 
 def _kernel_route(max_m: int, hat: Hat) -> Residuals:
     for m in range(max_m + 1):
-        for lam in closed_grid(m):
+        # below m - 1 Olver's algorithm computes the kernel's U_{m-1}, so the
+        # largest zero of each of J_1 and J_2 there tests its anchor
+        zeros = [complex(max(z for z in js if z < m - 1)) for js in _BESSEL_J_ZEROS[1:] if js[0] < m - 1]
+        for lam in closed_grid(m) + zeros:
             direct = hat(Family.CHEBYSHEV, m, lam)
             yield _relative(direct, transforms.chebyshev_hat_via_kernel(m, lam)), f"(m={m}, lam={lam})"
 

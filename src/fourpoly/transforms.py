@@ -4,12 +4,12 @@
 
 for complex lam, where p_m is the Gegenbauer polynomial C^(alpha)_m scaled to
 p_m(1) = 1, with a = 2 alpha: T_m at a = 0, P_m at a = 1 and U_m/(m+1) at
-a = 2 (DLMF 18.9).  There are two regimes:
-
-* |lam| >= max(1, m): the explicit closed form, summed term by term,
-* otherwise, lam = 0 included: the three-term recurrence in the degree,
-  solved as a boundary-value problem; at lam = 0 it starts from F_0 = 2 and
-  gives the exact rational values, rounded once.
+a = 2 (DLMF 18.9).  `_value` takes the cheapest stable algorithm: the
+explicit closed form where |lam| >= max(1, m, m^2/8) unless it cancels, else
+forward substitution in the degree (m rows) where |lam| > m, |Im lam| <= 700
+and m^2 |Im lam| <= 2 |lam|^2, else Olver's algorithm (about 2 max(m, |lam|)
+rows), also at lam = 0, where it starts from F_0 = 2 and gives the exact
+rational values, rounded once.
 
 The closed form sum_n c_n [e^{i lam} + (-1)^(n+m) e^{-i lam}] (i lam)^-n reads
 none of the paper's integer tables (`coeffs`): as c_n = (-1)^(m+n+1)
@@ -17,12 +17,10 @@ p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
 
     r_n = c_{n+1}/c_n = -(m-n+1)(m+n-1+a)/(2n-1+a)
 
-over i lam.  Its largest term grows like (2m-1)!!/|lam|^(m+1), so below
-|lam| ~ m it cancels catastrophically in doubles.  Above the threshold its
-part-sums can still cancel (near the imaginary axis, and for larger m up to
-|lam| ~ 3m); where they do, or where a term leaves the double range, the
-recurrence, whose cost grows with |lam|, takes over.  Only a value beyond the
-double range raises `OverflowError`, also for |Im lam| > 700 (`_uncapped`).
+over i lam.  Its terms grow until n ~ m^2/(2|lam|), so in doubles it cancels
+below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  Only
+a value beyond the double range raises `OverflowError`, also for
+|Im lam| > 700 (`_uncapped`).
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -34,21 +32,24 @@ and beta_k = k/((k+a-1)(2k+a)).  For k >= 1 this gives
 
 except at a = 0, k = 1, where T_1 = T'_2/4 gives (1/4, 0, 1/4).  Each
 coefficient is one division of exact integers, so it is the double nearest
-its rational value.  Once k > |lam| the other solutions grow factorially and
-F_k does not, so it is computed by Olver's algorithm (F. W. J. Olver, J. Res.
-NBS 71B, 1967): forward elimination from an exact anchor, then back
-substitution from a truncation point chosen by the algorithm's own error
-estimate.  An anchor where the minimal solution is small loses F_m (Legendre
-at lam = n pi, where F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4)
-at F_0 (at a = 0, row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at
-F_1, so where the second is larger and |lam| > 1 the anchor is
-F_1 = i(2 cos lam - F_0)/lam, the transform of p_1 = x.
+its rational value.  While k < |lam|, every solution oscillates, and the
+ratio of two grows only like e^{m^2 |Im lam|/|lam|^2} up to k = m; there
+F_0 = 2 sin(lam)/lam and F_1 = i(2 cos lam - F_0)/lam, the transform of
+p_1 = x, give F_m by forward substitution (W. Gautschi, SIAM Rev. 9, 1967).
+Once k > |lam| the other solutions grow factorially and F_k does not, so it
+is computed by Olver's algorithm (F. W. J. Olver, J. Res. NBS 71B, 1967):
+forward elimination from an exact anchor, then back substitution from a
+truncation point chosen by the algorithm's own error estimate.  An anchor
+where the minimal solution is small loses F_m (Legendre at lam = n pi, where
+F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4) at F_0 (at a = 0,
+row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at F_1, so where the
+second is larger and |lam| > 1 the anchor is F_1.
 
 The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
 integration-by-parts route to the Chebyshev transform is, with x = cos w,
 the transform of U_{m-1}, the Chebyshev polynomial of the second kind, at
-lam = iz: m times F_{m-1} at a = 2.  It runs through the same closed form,
-recurrence and dispatch; its ratios come from the derivatives of U_k at
+lam = iz: m times F_{m-1} at a = 2.  It runs through the same three
+algorithms and dispatch; its ratios come from the derivatives of U_k at
 x = 1, so the route checks the T_m ratios against an independent identity.
 """
 from __future__ import annotations
@@ -77,9 +78,10 @@ __all__ = [
 class EvalPath(str, Enum):
     """Which regime of (m, lam) a transform value lies in.
 
-    The strings name the regime, not the algorithm: at lam = 0 and below the
-    threshold the value comes from the degree recurrence, above it from the
-    closed form unless that cancels, and then from the recurrence as well.
+    The strings name the regime, not the algorithm, as the benchmark keys its
+    checks and spans by them: at lam = 0 and below `regime_threshold(m)` the
+    value comes from Olver's algorithm (F_0 itself at m = 0), at or above it
+    from whichever algorithm `_value` picks.
     """
 
     CLOSED_FORM = "ClosedForm"
@@ -94,7 +96,7 @@ class TransformResult(namedtuple("TransformResult", "value path")):
 
 
 def regime_threshold(m: int) -> float:
-    """|lam| at or above which the closed form is used for degree m."""
+    """|lam| at or above which a degree-m value is in the `CLOSED_FORM` regime."""
     return float(max(1, m))
 
 
@@ -117,8 +119,18 @@ def zero_lambda_value(family: Family | str, m: int):
 # Once sum |term| exceeds this multiple of |e^{i lam} P| + |e^{-i lam} Q|,
 # the part-sums P and Q have cancelled too far for double accumulation: at
 # ratio 244 (T_16 at a zero of J_2) the closed form is off by 7.4e-13
-# relative, the recurrence by 1.6e-14.
+# relative, the recurrence by 1.6e-14; `_value` then takes another algorithm.
 _CANCEL_LIMIT = 64.0
+
+# The closed form is tried only where m^2 <= _CLOSED_FORM_REACH |lam|: at 4523
+# random points (|lam| >= max(1, m), m <= 1000, a <= 2) it cancelled at all
+# but 2 of the 1758 beyond, both with m^2 < 8.9 |lam|, and served 2260 of 2765.
+_CLOSED_FORM_REACH = 8.0
+
+# Forward substitution needs g = m^2 |Im lam|/|lam|^2 <= _FORWARD_GROWTH: at
+# 2860 random points (a <= 2, m <= 1000, m < |lam| <= 60m, off zeros of F_m)
+# its worst error against Olver's was 1.3e-13 to g = 2.4, 1.1e-10 at g ~ 8.
+_FORWARD_GROWTH = 2.0
 
 _LN2 = math.log(2.0)
 
@@ -179,7 +191,7 @@ def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# degree recurrence (Olver's algorithm)
+# degree recurrence: Olver's algorithm and forward substitution
 # ---------------------------------------------------------------------------
 
 
@@ -259,20 +271,37 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     return _uncapped(lam, gs)
 
 
+def _forward(a: int, m: int, lam: complex) -> complex:
+    """F_m from the exact F_0 and F_1 by forward substitution, stable where `_value` calls it:
+    F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k)."""
+    z, sine = 1j * lam, cmath.sin(lam)
+    drive = (2.0 * cmath.cos(lam), -2j * sine)  # B_{k+1} for k even, odd
+    f0 = 2.0 * sine / lam
+    f1 = 1j * (drive[0] - f0) / lam
+    rows = _rows(a, 1 << m.bit_length())
+    for k in range(1, m):
+        alpha, beta, diff = rows[k]
+        f0, f1 = f1, (f1 - diff * drive[k & 1] + z * beta * f0) / (z * alpha)
+    return f1 if m else f0
+
+
 # ---------------------------------------------------------------------------
 # public transform evaluation
 # ---------------------------------------------------------------------------
 
 
 def _value(a: int, m: int, lam: complex) -> complex:
-    """F_m: the closed form at or above `regime_threshold(m)` unless its
-    part-sums cancel, the degree recurrence otherwise."""
-    if abs(lam) >= regime_threshold(m):
+    """F_m by the cheapest stable algorithm at (m, lam): closed form, forward
+    substitution or Olver's (module docstring)."""
+    alam = abs(lam)
+    if alam >= regime_threshold(m) and _CLOSED_FORM_REACH * alam >= m * m:
         value, cancellation = _closed_form(a, m, lam)
         # a cancelled sum is not rescaled: its noise times e^{|Im lam| - 700}
         # can overflow where F_m does not
-        if cancellation <= _CANCEL_LIMIT:  # not NaN: a term beyond the double range (m >~ 1500)
+        if cancellation <= _CANCEL_LIMIT:
             return _uncapped(lam, [value])[0]
+    if alam > m and m * m * abs(lam.imag) <= _FORWARD_GROWTH * alam * alam and abs(lam.imag) <= 700.0:
+        return _forward(a, m, lam)
     return _recurrence(a, m, lam, m)[0]
 
 

@@ -261,24 +261,16 @@ def test_solve_rejects_empty_basis(capsys):
     assert excinfo.value.code == 2
 
 
-def test_solve_failure_exits_1(capsys, monkeypatch):
-    def degenerate(n_basis, point_count):
-        raise np.linalg.LinAlgError("degenerate system: zero column")
+@pytest.mark.parametrize("message", ["degenerate system: zero column", "SVD did not converge"],
+                         ids=["zero-column", "svd"])
+def test_solve_failure_exits_1(message, capsys, monkeypatch):
+    def failing(n_basis, point_count):
+        raise np.linalg.LinAlgError(message)
 
-    monkeypatch.setattr(helmholtz, "solve", degenerate)
+    monkeypatch.setattr(helmholtz, "solve", failing)
     code, out, err = run(capsys, "solve", "--basis", "4", "--points", "8")
     assert code == 1 and out == ""
-    assert err == "error: degenerate system: zero column\n"
-
-
-def test_solve_linear_algebra_failure_exits_1(capsys, monkeypatch):
-    def no_convergence(n_basis, point_count):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(helmholtz, "solve", no_convergence)
-    code, out, err = run(capsys, "solve", "--basis", "4", "--points", "8")
-    assert code == 1 and out == ""
-    assert err == "error: SVD did not converge\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [["solve", "--basis", "4", "--points", "8"], ["study", "--basis", "4"]],

@@ -430,6 +430,85 @@ def test_envelope_to_degree_400_matches_exact_closed_form():
         assert abs(value - reference) <= 1e-12 * abs(reference), (family, m, lam)
         checked += 1
     assert checked >= 240
+    # a far ring at |lam| = m^2/4 + 40, where the closed form serves at every
+    # angle: it cancels below about m^2/8 on the real axis, m^2/4 on the
+    # imaginary one
+    rng = random.Random(20261019)
+    for _ in range(32):
+        family, m = rng.choice(FAMILIES), rng.randint(1, 400)
+        r = m * m / 4 + 40
+        imag = rng.uniform(-1, 1) * min(r, 650)
+        lam = complex(rng.choice((1, -1)) * math.sqrt(r * r - imag * imag), imag)
+        reference = exact_value(exact_ratio_table(0 if family is Family.CHEBYSHEV else 1, m), m, lam)
+        value = transform_hat(family, m, lam).value
+        assert abs(value - reference) <= 1e-12 * abs(reference), (family, m, lam)
+
+
+# ---------------------------------------------------------------------------
+# the dispatch between closed form, forward substitution and Olver's algorithm
+# ---------------------------------------------------------------------------
+
+
+def legendre_bessel_reference(m, lam):
+    """2 (-i)^m sqrt(pi/(2 lam)) J_{m+1/2}(lam) in mpmath (DLMF 10.54.2).
+
+    Above |lam| = m, mpmath sums J's Hankel expansion, which for half-integer
+    order ends after m + 1 terms, only with more than m bits of precision;
+    with fewer it falls back to the power series, which takes seconds at
+    |lam| ~ 8000, |Im lam| ~ 600."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(max(100, m + 50) if abs(lam) > m else 100):
+        z = mpmath.mpc(lam.real, lam.imag)
+        return complex(2 * (-1j) ** m * mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(m + 0.5, z))
+
+
+def dispatch_points(seed, count=150):
+    """Legendre m <= 1000 and Chebyshev m <= 400; |lam| log-uniform in
+    [0.5m, 50m] on random and near-real rays, with |Im lam| <= 690."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        family = rng.choice(FAMILIES)
+        m = rng.randint(1, 400 if family is Family.CHEBYSHEV else 1000)
+        r = math.exp(rng.uniform(math.log(0.5 * m), math.log(50 * m)))
+        ray = rng.choice((None, 0.0, math.pi))
+        lam = cmath.rect(r, rng.uniform(-math.pi, math.pi) if ray is None else ray + rng.uniform(-0.02, 0.02))
+        if abs(lam.imag) <= 690:
+            points.append((family, m, lam))
+    return points
+
+
+def test_each_algorithm_meets_1e_12_from_half_to_fifty_times_the_degree():
+    checked = 0
+    for family, m, lam in dispatch_points(20261019):
+        if family is Family.LEGENDRE:
+            reference = legendre_bessel_reference(m, lam)
+        else:
+            reference = exact_value(exact_ratio_table(0, m), m, lam)
+        # Where F oscillates, F_m and F_{m+1} are about a quarter period out
+        # of phase, so |F_m| < |F_{m+1}|/20 puts lam within about 0.05 of a
+        # zero of F_m, where any evaluator's relative error grows like
+        # 1/|F_m|; such points are skipped.
+        if abs(reference) < 0.05 * abs(transform_hat(family, m + 1, lam).value):
+            continue
+        value = transform_hat(family, m, lam).value
+        assert abs(value - reference) <= 1e-12 * abs(reference), (family, m, lam)
+        checked += 1
+    assert checked >= 140
+
+
+def test_closed_form_and_forward_substitution_serve_far_above_the_degree(monkeypatch):
+    def olver(a, m, lam, low):
+        raise AssertionError(f"Olver's algorithm ran at a={a}, m={m}, lam={lam}")
+
+    monkeypatch.setattr(transforms, "_recurrence", olver)
+    legendre_hat(1000, 20000.0)
+    legendre_hat(3000, 60000.0)
+    for m in (40, 200, 1000):
+        for lam in (1.15 * m, 1.5 * m, 2.5 * m, 4 * m, 7.9 * m):
+            chebyshev_hat(m, lam)
+            legendre_hat(m, lam)
+            exp_cos_sine_integral(m, -1j * lam)
 
 
 # ---------------------------------------------------------------------------
