@@ -12,8 +12,8 @@
 # $|\lambda| \ge \max(1, m, m^2/8)$ unless its part-sums cancel: below about
 # m^2/8 its terms outgrow the result.  Forward substitution in the
 # three-term recurrence in the degree serves where $|\lambda| > m$ and the
-# imaginary part is small ($m^2 |\mathrm{Im}\,\lambda| \le 2|\lambda|^2$,
-# $|\mathrm{Im}\,\lambda| \le 700$), in m rows.  Everywhere else, below
+# imaginary part is small ($m^2 |\mathrm{Im}\,\lambda| \le 2|\lambda|^2$),
+# in m rows.  Everywhere else, below
 # $|\lambda| = m$ in particular, the same recurrence is solved by Olver's
 # boundary-value algorithm; at $\lambda = 0$ it starts from $\hat p_0 = 2$ and
 # gives the exact rational values.  The path names the regime (ZeroLambda,

@@ -19,8 +19,8 @@ each Legendre basis column.  A point lam has two frequencies,
     z1 = lam - 1/lam,      z2 = i lam - 1/(i lam) = i (lam + 1/lam),
 
 with N(lam) = N^(z2) and N(-+ i lam) = N^(+-z1), so each point takes two
-degree sweeps of the recurrence, at z2 and at z1; the columns of N^(-z1) are
-exactly those of N^(z1) times (-1)^k.  Collocating the two relations
+degree sweeps, at z2 and at z1, by the evaluator's dispatch; the columns of
+N^(-z1) are exactly those of N^(z1) times (-1)^k.  Collocating the relations
 
     cos z1 N^(z2) + cos z2 N^(+-z1) = z1 sin z1 D(lam) + z2 sin z2 D(-+ i lam)
 
@@ -42,8 +42,7 @@ from collections import namedtuple
 
 import numpy as np
 
-# legendre_hat is unused here, but bench/tracing.py re-binds `helmholtz.legendre_hat`
-from .transforms import _recurrence, legendre_hat  # noqa: F401
+from .transforms import _sweep, legendre_hat  # noqa: F401 (legendre_hat: re-bound by bench/tracing.py)
 
 __all__ = [
     "SQRT3",
@@ -150,8 +149,8 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
             rhs[2 * r] = math.nan  # marks the point as not finite for the check below
             break
         # sweep only after the checks above: at lam = 1e-300 a sweep would size its table at 2|z2| rows
-        base = c1 * np.array(_recurrence(1, n_basis - 1, z2, 0))  # a = 1: Legendre
-        turned = c2 * np.array(_recurrence(1, n_basis - 1, z1, 0))
+        base = c1 * np.array(_sweep(1, n_basis - 1, z2, 0))  # a = 1: Legendre
+        turned = c2 * np.array(_sweep(1, n_basis - 1, z1, 0))
         rows[2 * r] = base + turned
         rows[2 * r + 1] = base + parity * turned
         rhs[2 * r] = rhs[2 * r + 1] = f1 * d_lam + f2 * d_turned

@@ -4,12 +4,11 @@
 
 for complex lam, where p_m is the Gegenbauer polynomial C^(alpha)_m scaled to
 p_m(1) = 1, with a = 2 alpha: T_m at a = 0, P_m at a = 1 and U_m/(m+1) at
-a = 2 (DLMF 18.9).  `_value` takes the cheapest stable algorithm: the
-explicit closed form where |lam| >= max(1, m, m^2/8) unless it cancels, else
-forward substitution in the degree (m rows) where |lam| > m, |Im lam| <= 700
+a = 2 (DLMF 18.9).  `_sweep` gives F_low ... F_m by the cheapest stable
+algorithm: the closed form (F_m alone) where |lam| >= max(1, m, m^2/8) unless
+it cancels, else forward substitution in the degree (m rows) where |lam| > m
 and m^2 |Im lam| <= 2 |lam|^2, else Olver's algorithm (about 2 max(m, |lam|)
-rows), also at lam = 0, where it starts from F_0 = 2 and gives the exact
-rational values, rounded once.
+rows), which at lam = 0 gives the exact rational values, rounded once.
 
 The closed form sum_n c_n [e^{i lam} + (-1)^(n+m) e^{-i lam}] (i lam)^-n reads
 none of the paper's integer tables (`coeffs`): as c_n = (-1)^(m+n+1)
@@ -18,9 +17,9 @@ p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
     r_n = c_{n+1}/c_n = -(m-n+1)(m+n-1+a)/(2n-1+a)
 
 over i lam.  Its terms grow until n ~ m^2/(2|lam|), so in doubles it cancels
-below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  Only
-a value beyond the double range raises `OverflowError`, also for
-|Im lam| > 700 (`_uncapped`).
+below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  All
+three take e^{+-i lam}, sin and cos at `_capped(lam)`, and `_sweep` restores
+the factor (`_uncapped`), so only a value beyond the double range overflows.
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -81,7 +80,7 @@ class EvalPath(str, Enum):
     The strings name the regime, not the algorithm, as the benchmark keys its
     checks and spans by them: at lam = 0 and below `regime_threshold(m)` the
     value comes from Olver's algorithm (F_0 itself at m = 0), at or above it
-    from whichever algorithm `_value` picks.
+    from whichever algorithm `_sweep` picks.
     """
 
     CLOSED_FORM = "ClosedForm"
@@ -119,7 +118,7 @@ def zero_lambda_value(family: Family | str, m: int):
 # Once sum |term| exceeds this multiple of |e^{i lam} P| + |e^{-i lam} Q|,
 # the part-sums P and Q have cancelled too far for double accumulation: at
 # ratio 244 (T_16 at a zero of J_2) the closed form is off by 7.4e-13
-# relative, the recurrence by 1.6e-14; `_value` then takes another algorithm.
+# relative, the recurrence by 1.6e-14; `_sweep` then takes another algorithm.
 _CANCEL_LIMIT = 64.0
 
 # The closed form is tried only where m^2 <= _CLOSED_FORM_REACH |lam|: at 4523
@@ -150,11 +149,9 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
 
     For real lam, w = 1/(i lam) is purely imaginary and every product keeps
     its zero component exactly, so parity, conjugation and realness hold
-    exactly.  Beyond |Im lam| = 700 the exponentials are taken at |Im lam| = 700,
-    as in `_recurrence`; the value lacks that factor, which `_value` puts on
-    with `_uncapped` only where it keeps the sum.
+    exactly.  Like the other two algorithms, it works at `_capped(lam)`.
     """
-    near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
+    near = _capped(lam)
     e_plus = cmath.exp(1j * near)
     e_minus = cmath.exp(-1j * near)
     w = 1.0 / (1j * lam)
@@ -178,8 +175,13 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     return plus + minus, scale / kept if kept else math.inf
 
 
+def _capped(lam: complex) -> complex:
+    """lam with |Im lam| capped at 700: e^{+-i lam} there lacks e^{|Im lam| - 700}."""
+    return complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
+
+
 def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
-    """values, taken at |Im lam| capped at 700, times e^{|Im lam| - 700} as e^r 2^k
+    """values, taken at `_capped(lam)`, times e^{|Im lam| - 700} as e^r 2^k
     with r < ln 2: the factor, which overflows from |Im lam| = 1409.78 on, is
     never formed, so only a product beyond the double range raises (ldexp)."""
     excess = abs(lam.imag) - 700.0
@@ -206,8 +208,15 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
     )
 
 
+def _start(lam: complex) -> tuple[complex, tuple[complex, complex]]:
+    """F_0 (2 at lam = 0) and the drive B_{k+1} for k even, odd, at `_capped(lam)`."""
+    near = _capped(lam)
+    sine = cmath.sin(near)
+    return 2.0 * sine / lam if lam else 2.0 + 0j, (2.0 * cmath.cos(near), -2j * sine)
+
+
 def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m) from the degree recurrence in the module docstring.
+    """F_low ... F_m (low <= m), at `_capped(lam)`, by Olver's algorithm.
 
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  It stops
     once k >= max(m, |lam|) and |h_m ... h_k|, the factor by which the
@@ -215,16 +224,10 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     min covers the Chebyshev F_{k+1}, up to 1/|lam| times F_m for small lam.
     Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
     At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly
-    (rounded once), and the elimination stops at row max(1, m).  The F_k are
-    linear in sin lam and cos lam, so beyond |Im lam| = 700 both are taken at
-    |Im lam| = 700, which divides them by e^{|Im lam| - 700} up to a relative
-    e^{-1400}, and `_uncapped` multiplies the F_k by it at the end.
+    (rounded once), and the elimination stops at row max(1, m).
     """
-    near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
-    sine = cmath.sin(near)
-    f = 2.0 * sine / lam if lam else 2.0 + 0j  # F_0
+    f, drive = _start(lam)
     z = 1j * lam
-    drive = (2.0 * cmath.cos(near), -2j * sine)  # B_{k+1} for k even, odd
     alam = abs(lam)
     tol = 1e-17 * min(1.0, alam)
     size = 2 * math.ceil(max(m, alam)) + 64
@@ -268,21 +271,22 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
         f1, f2 = f, f1
         gs[j] = f  # F_{low+j}; g_{low+j} is not read again
     del gs[m + 1 - low:]
-    return _uncapped(lam, gs)
+    return gs
 
 
-def _forward(a: int, m: int, lam: complex) -> complex:
-    """F_m from the exact F_0 and F_1 by forward substitution, stable where `_value` calls it:
-    F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k)."""
-    z, sine = 1j * lam, cmath.sin(lam)
-    drive = (2.0 * cmath.cos(lam), -2j * sine)  # B_{k+1} for k even, odd
-    f0 = 2.0 * sine / lam
-    f1 = 1j * (drive[0] - f0) / lam
+def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
+    """F_low ... F_m (low <= m), at `_capped(lam)`, by forward substitution from the exact
+    F_0 and F_1: F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k)."""
+    f0, drive = _start(lam)
+    z, f1 = 1j * lam, 1j * (drive[0] - f0) / lam
     rows = _rows(a, 1 << m.bit_length())
+    swept, keep = [f0, f1][low:m + 1], low - 1  # F_{k+1} is kept from k = low - 1 on: F_m alone at low = m
     for k in range(1, m):
         alpha, beta, diff = rows[k]
         f0, f1 = f1, (f1 - diff * drive[k & 1] + z * beta * f0) / (z * alpha)
-    return f1 if m else f0
+        if k >= keep:
+            swept.append(f1)
+    return swept
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +294,16 @@ def _forward(a: int, m: int, lam: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _value(a: int, m: int, lam: complex) -> complex:
-    """F_m by the cheapest stable algorithm at (m, lam): closed form, forward
-    substitution or Olver's (module docstring)."""
+def _sweep(a: int, m: int, lam: complex, low: int) -> list[complex]:
+    """F_low ... F_m (low <= m) by the cheapest stable algorithm at (m, lam) (module docstring)."""
     alam = abs(lam)
-    if alam >= regime_threshold(m) and _CLOSED_FORM_REACH * alam >= m * m:
-        value, cancellation = _closed_form(a, m, lam)
-        # a cancelled sum is not rescaled: its noise times e^{|Im lam| - 700}
-        # can overflow where F_m does not
-        if cancellation <= _CANCEL_LIMIT:
-            return _uncapped(lam, [value])[0]
-    if alam > m and m * m * abs(lam.imag) <= _FORWARD_GROWTH * alam * alam and abs(lam.imag) <= 700.0:
-        return _forward(a, m, lam)
-    return _recurrence(a, m, lam, m)[0]
+    if (low == m and alam >= regime_threshold(m) and _CLOSED_FORM_REACH * alam >= m * m
+            and (closed := _closed_form(a, m, lam))[1] <= _CANCEL_LIMIT):
+        values = [closed[0]]
+    else:
+        forward = alam > m and m * m * abs(lam.imag) <= _FORWARD_GROWTH * alam * alam
+        values = (_forward if forward else _recurrence)(a, m, lam, low)
+    return _uncapped(lam, values)
 
 
 def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) -> complex:
@@ -326,10 +327,10 @@ def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) 
 
 
 def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult:
-    """Finite Fourier transform of the degree-m polynomial, by `_value` for every lam, and its regime."""
+    """Finite Fourier transform of the degree-m polynomial, by `_sweep` for every lam, and its regime."""
     fam = as_family(family)
     lam = complex(lam)
-    value = _checked("transform value", m, "lam", lam, lambda m, lam: _value(_TWO_ALPHA[fam], m, lam))
+    value = _checked("transform value", m, "lam", lam, lambda m, lam: _sweep(_TWO_ALPHA[fam], m, lam, m)[0])
     path = EvalPath.CLOSED_FORM if abs(lam) >= regime_threshold(m) else EvalPath.SMALL_LAMBDA_SERIES
     return TransformResult(value, path if lam else EvalPath.ZERO_LAMBDA)
 
@@ -355,7 +356,7 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
     K(0, z) = 0; for m >= 1, K is the transform of U_{m-1} at lam = iz (see
     the module docstring), and K(m, 0) = (1 - (-1)^m)/m.
     """
-    return _checked("kernel value", m, "z", z, lambda m, z: m * _value(2, m - 1, 1j * z) if m else 0j)
+    return _checked("kernel value", m, "z", z, lambda m, z: m * _sweep(2, m - 1, 1j * z, m - 1)[0] if m else 0j)
 
 
 def _via_kernel(m: int, lam: complex) -> complex:

@@ -23,7 +23,7 @@ from fourpoly.helmholtz import (
     solve,
 )
 from fourpoly.oracle import _recurrence_pair, gauss_legendre_rule
-from fourpoly.transforms import _recurrence, legendre_hat, zero_lambda_value
+from fourpoly.transforms import _sweep, legendre_hat, zero_lambda_value
 
 
 def legendre(l, x):
@@ -38,8 +38,8 @@ def frequencies(lam):
 
 
 def legendre_sweep(n, mu):
-    """The Legendre columns p_k-hat(mu), k < n, from one degree sweep."""
-    return np.array(_recurrence(1, n - 1, mu, 0))
+    """The Legendre columns p_k-hat(mu), k < n, from one degree sweep, as assembly takes them."""
+    return np.array(_sweep(1, n - 1, mu, 0))
 
 
 def neumann_column(k, lam):
@@ -239,7 +239,7 @@ def test_columns_at_zero_frequency_are_exact():
     }
     for a, values in exact.items():
         for n in (1, 2, 20, 64, 200):
-            swept = np.array(_recurrence(a, n - 1, 0j, 0))
+            swept = np.array(_sweep(a, n - 1, 0j, 0))
             assert swept.tobytes() == np.array(values[:n]).tobytes(), (a, n)
 
 
@@ -258,7 +258,7 @@ def test_turned_columns_differ_by_parity_exactly():
 def record_sweeps(monkeypatch):
     """Patch assembly's degree sweep to record each frequency it is called at."""
     calls = []
-    sweep = helmholtz._recurrence
+    sweep = helmholtz._sweep
 
     def recorded(a, m, mu, low):
         calls.append(mu)
@@ -266,7 +266,7 @@ def record_sweeps(monkeypatch):
         assert abs(mu) < 1e6, f"sweep at mu={mu}"
         return sweep(a, m, mu, low)
 
-    monkeypatch.setattr(helmholtz, "_recurrence", recorded)
+    monkeypatch.setattr(helmholtz, "_sweep", recorded)
     return calls
 
 

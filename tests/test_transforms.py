@@ -24,8 +24,7 @@ from fourpoly.transforms import (
     transform_hat,
     zero_lambda_value,
     _closed_form,
-    _recurrence,
-    _value,
+    _sweep,
     closed_form_ratios,
 )
 
@@ -347,7 +346,7 @@ def test_zeros_of_bessel_j_match_exact_closed_form(a):
             for lam in special.jn_zeros(order, 80):
                 if 1.0 < lam < 2.5 * m:
                     reference = exact_real_closed_form(coeffs, m, float(lam))
-                    value = exp_cos_sine_integral(m + 1, -1j * float(lam)) if a == 2 else _value(a, m, float(lam))
+                    value = exp_cos_sine_integral(m + 1, -1j * float(lam)) if a == 2 else _sweep(a, m, float(lam), m)[0]
                     assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (a, m, order, lam)
 
 
@@ -359,9 +358,9 @@ def test_anchor_choice_keeps_parity_and_conjugation_exact(a):
     for _ in range(200):
         m = rng.randint(1, 60)
         lam = rng.uniform(1, 2.5 * m + 2) * cmath.exp(1j * rng.choice([0.0, rng.uniform(0, math.pi / 2)]))
-        value = _value(a, m, lam)
-        assert _value(a, m, -lam) == (-1) ** m * value, (a, m, lam)
-        assert _value(a, m, -lam.conjugate()) == value.conjugate(), (a, m, lam)
+        value = _sweep(a, m, lam, m)[0]
+        assert _sweep(a, m, -lam, m)[0] == (-1) ** m * value, (a, m, lam)
+        assert _sweep(a, m, -lam.conjugate(), m)[0] == value.conjugate(), (a, m, lam)
 
 
 def test_bessel_at_four_pi_matches_scipy():
@@ -377,20 +376,30 @@ def test_bessel_at_four_pi_matches_scipy():
 
 def sweep_points():
     """mu = i(s + 1/s) at s = lam, -i lam, i lam for the solver's 40 default
-    points (mu = 0 excluded), and random complex mu with |mu| <= 100."""
+    points (mu = 0 excluded), random complex mu with |mu| <= 100, real mu
+    with 63 < |mu| <= 4000, where forward substitution serves the whole
+    sweep to degree 63, and mu with 700 < |Im mu| <= 709 + ln |mu|, where
+    each F_k is finite only once `_uncapped` puts e^{|Im mu| - 700} back on:
+    forward substitution serves those with |mu| >= 63 sqrt(|Im mu|/2),
+    Olver's algorithm the others."""
     points = [1j * (s + 1 / s) for lam in collocation_points(40) for s in (lam, -1j * lam, 1j * lam)]
     rng = random.Random(5)
     points += [10 ** rng.uniform(-3, 2) * cmath.exp(2j * math.pi * rng.random()) for _ in range(40)]
-    return [mu for mu in points if mu != 0]
+    points += [rng.choice((1, -1)) * 10 ** rng.uniform(math.log10(64), math.log10(4000)) for _ in range(20)]
+    for _ in range(20):
+        r = 10 ** rng.uniform(math.log10(701), math.log10(4000))
+        imag = rng.choice((1, -1)) * rng.uniform(700.5, 709 + math.log(r))
+        points.append(complex(rng.choice((1, -1)) * math.sqrt(r * r - imag * imag), imag))
+    return [complex(mu) for mu in points if mu != 0]
 
 
 @EACH_A
 def test_sweep_from_degree_zero_matches_scalar_path(a):
     for mu in sweep_points():
-        swept = _recurrence(a, 63, mu, 0)
+        swept = _sweep(a, 63, mu, 0)
         assert len(swept) == 64
         for k, value in enumerate(swept):
-            reference = _value(a, k, mu)
+            reference = _sweep(a, k, mu, k)[0]
             assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (a, k, mu)
 
 
@@ -504,11 +513,37 @@ def test_closed_form_and_forward_substitution_serve_far_above_the_degree(monkeyp
     monkeypatch.setattr(transforms, "_recurrence", olver)
     legendre_hat(1000, 20000.0)
     legendre_hat(3000, 60000.0)
+    # beyond |Im lam| = 700 forward substitution runs at the capped argument
+    legendre_hat(1000, 50000 + 705j)
+    legendre_hat(1000, 50000 - 705j)
+    chebyshev_hat(1000, -50000 + 705j)
+    exp_cos_sine_integral(1000, -1j * (50000 + 705j))
     for m in (40, 200, 1000):
         for lam in (1.15 * m, 1.5 * m, 2.5 * m, 4 * m, 7.9 * m):
             chebyshev_hat(m, lam)
             legendre_hat(m, lam)
             exp_cos_sine_integral(m, -1j * lam)
+
+
+def beyond_700_points(seed, count=400):
+    """Legendre m <= 1000 at lam with 700 < |Im lam| <= 709 + ln |lam|, where
+    F_m is finite but e^{+-i lam} is taken at |Im lam| = 700, and
+    |lam| >= 19m, so g = m^2 |Im lam|/|lam|^2 <= 2; |lam| log-uniform up to 60m + 1000."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        m = rng.randint(0, 1000)
+        r = math.exp(rng.uniform(math.log(max(701, 19 * m)), math.log(60 * m + 1000)))
+        imag = rng.uniform(700.001, min(709 + math.log(r), r))
+        points.append((m, complex(rng.choice((1, -1)) * math.sqrt(r * r - imag * imag), rng.choice((1, -1)) * imag)))
+    return points
+
+
+def test_band_beyond_700_meets_1e_12():
+    for m, lam in beyond_700_points(20261020):
+        reference = legendre_bessel_reference(m, lam)
+        value = legendre_hat(m, lam).value
+        assert abs(value - reference) <= 1e-12 * abs(reference), (m, lam)
 
 
 # ---------------------------------------------------------------------------
