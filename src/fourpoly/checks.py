@@ -76,7 +76,8 @@ def oracle_grid(m: int) -> list[complex]:
 
 
 def closed_grid(m: int) -> list[complex]:
-    """Points above the closed-form threshold of degree m, at four phases."""
+    """Points above the `ClosedForm` label bound max(1, m) of degree m, at four phases;
+    forward substitution serves most of them, the closed form only those from m^2/8 on."""
     phases = [1.0, -1.0, 1j, (1 + 1j) / abs(1 + 1j)]
     return [p * r for r in (m + 2.0, m + 6.0, 2.0 * m + 40.0) for p in phases]
 
@@ -114,64 +115,58 @@ def _paper_tables(max_m: int, hat: Hat) -> Residuals:
             yield float(not all(c * den == prev * num for prev, c, (num, den) in steps)), f"({fam.value}, m={m})"
 
 
-def _oracle_agreement(max_m: int, hat: Hat) -> Residuals:
-    for fam in Family:
+def _oracle_points(max_m: int, families) -> Iterator[tuple[Family, int, complex, str]]:
+    for fam in families:
         for m in range(max_m + 1):
             for lam in oracle_grid(m):
-                ref = oracle.quad_transform(fam, m, lam)
-                got = hat(fam, m, lam)
-                yield abs(got - ref) / (1.0 + abs(ref)), f"({fam.value}, m={m}, lam={lam})"
+                yield fam, m, lam, f"({fam.value}, m={m}, lam={lam})"
+
+
+def _oracle_agreement(max_m: int, hat: Hat) -> Residuals:
+    for fam, m, lam, where in _oracle_points(max_m, Family):
+        ref = oracle.quad_transform(fam, m, lam)
+        yield abs(hat(fam, m, lam) - ref) / (1.0 + abs(ref)), where
 
 
 def _parity(max_m: int, hat: Hat) -> Residuals:
-    for fam in Family:
-        for m in range(max_m + 1):
-            for lam in oracle_grid(m):
-                plus = hat(fam, m, lam)
-                minus = hat(fam, m, -lam)
-                yield _relative(minus, (-1) ** m * plus), f"({fam.value}, m={m}, lam={lam})"
+    for fam, m, lam, where in _oracle_points(max_m, Family):
+        plus = hat(fam, m, lam)
+        yield _relative(hat(fam, m, -lam), (-1) ** m * plus), where
 
 
 def _conjugation(max_m: int, hat: Hat) -> Residuals:
-    for fam in Family:
-        for m in range(max_m + 1):
-            for lam in oracle_grid(m):
-                if lam.imag == 0.0:
-                    plus = hat(fam, m, lam)
-                    minus = hat(fam, m, -lam)
-                    yield _relative(plus.conjugate(), minus), f"({fam.value}, m={m}, lam={lam})"
+    for fam, m, lam, where in _oracle_points(max_m, Family):
+        if lam.imag == 0.0:
+            yield _relative(hat(fam, m, lam).conjugate(), hat(fam, m, -lam)), where
 
 
 def _realness(max_m: int, hat: Hat) -> Residuals:
     rot = (1.0, 1j, -1.0, -1j)
-    for m in range(max_m + 1):
-        for lam in oracle_grid(m):
-            if lam.imag == 0.0 and lam.real > 0.0:
-                value = hat(Family.LEGENDRE, m, lam) * rot[m % 4]
-                yield abs(value.imag) / max(abs(value), 1e-300), f"(legendre, m={m}, lam={lam})"
+    for fam, m, lam, where in _oracle_points(max_m, [Family.LEGENDRE]):
+        if lam.imag == 0.0 and lam.real > 0.0:
+            value = hat(fam, m, lam) * rot[m % 4]
+            yield abs(value.imag) / max(abs(value), 1e-300), where
+
+
+def _three_term(up: complex, mid: complex, down: complex, step: complex, drive: complex = 0) -> float:
+    """|up + step mid - down - drive|, relative to the largest of its terms."""
+    term = step * mid
+    return abs(up + term - down - drive) / max(abs(up), abs(term), abs(down), abs(drive), 1e-300)
 
 
 def _legendre_recurrence(max_m: int, hat: Hat) -> Residuals:
     for m in range(1, max_m + 1):
         for lam in closed_grid(m + 1):
-            up = hat(Family.LEGENDRE, m + 1, lam)
-            mid = hat(Family.LEGENDRE, m, lam)
-            down = hat(Family.LEGENDRE, m - 1, lam)
-            resid = up + (1j / lam) * (2 * m + 1) * mid - down
-            denom = max(abs(up), abs((2 * m + 1) * mid / abs(lam)), abs(down), 1e-300)
-            yield abs(resid) / denom, f"(m={m}, lam={lam})"
+            up, mid, down = (hat(Family.LEGENDRE, k, lam) for k in (m + 1, m, m - 1))
+            yield _three_term(up, mid, down, (1j / lam) * (2 * m + 1)), f"(m={m}, lam={lam})"
 
 
 def _kernel_recurrence(max_m: int, hat: Hat) -> Residuals:
     for m in range(1, max_m + 1):
         for z in closed_grid(m + 1):
-            up = transforms.exp_cos_sine_integral(m + 1, z)
-            mid = transforms.exp_cos_sine_integral(m, z)
-            down = transforms.exp_cos_sine_integral(m - 1, z)
+            up, mid, down = (transforms.exp_cos_sine_integral(k, z) for k in (m + 1, m, m - 1))
             drive = (2.0 / z) * (cmath.exp(z) + (-1) ** (m - 1) * cmath.exp(-z))
-            resid = up + (2.0 * m / z) * mid - down - drive
-            denom = max(abs(up), abs(2.0 * m / z * mid), abs(down), abs(drive), 1e-300)
-            yield abs(resid) / denom, f"(m={m}, z={z})"
+            yield _three_term(up, mid, down, 2.0 * m / z, drive), f"(m={m}, z={z})"
 
 
 def _kernel_route(max_m: int, hat: Hat) -> Residuals:

@@ -91,8 +91,11 @@ def dirichlet_hat(lam: complex) -> complex:
     lam = complex(lam)
     if lam == 0 or not cmath.isfinite(lam):
         raise ValueError("boundary transform requires finite lam != 0")
-    a = lam + 1.0 / lam
-    value = math.cosh(1.0) * _cosh_integral(a, SQRT3) + math.cosh(SQRT3) * _cosh_integral(a, 1.0)
+    try:
+        a = lam + 1.0 / lam
+        value = math.cosh(1.0) * _cosh_integral(a, SQRT3) + math.cosh(SQRT3) * _cosh_integral(a, 1.0)
+    except OverflowError:  # cmath's range error: the value is beyond the double range
+        value = math.inf
     if not cmath.isfinite(value):
         raise OverflowError(f"boundary transform beyond the double range at lam={lam}")
     return value

@@ -64,7 +64,6 @@ from .coeffs import Family, as_degree, as_family, coefficient_table  # noqa: F40
 __all__ = [
     "EvalPath",
     "TransformResult",
-    "regime_threshold",
     "zero_lambda_value",
     "chebyshev_hat",
     "legendre_hat",
@@ -78,7 +77,8 @@ class EvalPath(str, Enum):
     """Which regime of (m, lam) a transform value lies in.
 
     The strings name the regime, not the algorithm, as the benchmark keys its
-    checks and spans by them: at lam = 0 and below `regime_threshold(m)` the
+    checks and spans by them: `CLOSED_FORM` at |lam| >= max(1, m), else
+    `SMALL_LAMBDA_SERIES` (`ZERO_LAMBDA` at lam = 0).  Below that bound the
     value comes from Olver's algorithm (F_0 itself at m = 0), at or above it
     from whichever algorithm `_sweep` picks.
     """
@@ -92,11 +92,6 @@ class TransformResult(namedtuple("TransformResult", "value path")):
     """A transform value (complex) and the `EvalPath` of its regime."""
 
     __slots__ = ()
-
-
-def regime_threshold(m: int) -> float:
-    """|lam| at or above which a degree-m value is in the `CLOSED_FORM` regime."""
-    return float(max(1, m))
 
 
 def zero_lambda_value(family: Family | str, m: int):
@@ -121,7 +116,7 @@ def zero_lambda_value(family: Family | str, m: int):
 # relative, the recurrence by 1.6e-14; `_sweep` then takes another algorithm.
 _CANCEL_LIMIT = 64.0
 
-# The closed form is tried only where m^2 <= _CLOSED_FORM_REACH |lam|: at 4523
+# The closed form is tried only where |lam| >= max(1, m, m^2/_CLOSED_FORM_REACH): at 4523
 # random points (|lam| >= max(1, m), m <= 1000, a <= 2) it cancelled at all
 # but 2 of the 1758 beyond, both with m^2 < 8.9 |lam|, and served 2260 of 2765.
 _CLOSED_FORM_REACH = 8.0
@@ -297,7 +292,7 @@ def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
 def _sweep(a: int, m: int, lam: complex, low: int) -> list[complex]:
     """F_low ... F_m (low <= m) by the cheapest stable algorithm at (m, lam) (module docstring)."""
     alam = abs(lam)
-    if (low == m and alam >= regime_threshold(m) and _CLOSED_FORM_REACH * alam >= m * m
+    if (low == m and alam >= max(1, m, m * m / _CLOSED_FORM_REACH)
             and (closed := _closed_form(a, m, lam))[1] <= _CANCEL_LIMIT):
         values = [closed[0]]
     else:
@@ -331,7 +326,7 @@ def transform_hat(family: Family | str, m: int, lam: complex) -> TransformResult
     fam = as_family(family)
     lam = complex(lam)
     value = _checked("transform value", m, "lam", lam, lambda m, lam: _sweep(_TWO_ALPHA[fam], m, lam, m)[0])
-    path = EvalPath.CLOSED_FORM if abs(lam) >= regime_threshold(m) else EvalPath.SMALL_LAMBDA_SERIES
+    path = EvalPath.CLOSED_FORM if abs(lam) >= max(1, m) else EvalPath.SMALL_LAMBDA_SERIES
     return TransformResult(value, path if lam else EvalPath.ZERO_LAMBDA)
 
 

@@ -132,8 +132,11 @@ def test_dirichlet_hat_near_removable_singularity():
 def test_dirichlet_hat_domain_error():
     with pytest.raises(ValueError):
         dirichlet_hat(0.0)
-    with pytest.raises(OverflowError):  # 1/lam is beyond the double range
-        dirichlet_hat(1e-320)
+    # 1/lam is beyond the double range, or D(lam) is, with cosh and sinh
+    for lam in (1e-320, 709.5, 800.0):
+        message = f"boundary transform beyond the double range at lam={complex(lam)}"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            dirichlet_hat(lam)
 
 
 def test_dirichlet_hat_is_even_under_lam_to_minus_lam_bitwise():

@@ -20,7 +20,6 @@ from fourpoly.transforms import (
     chebyshev_hat_via_kernel,
     exp_cos_sine_integral,
     legendre_hat,
-    regime_threshold,
     transform_hat,
     zero_lambda_value,
     _closed_form,
@@ -78,8 +77,6 @@ def test_zero_lambda_check_reads_the_recurrence(monkeypatch):
 
 
 def test_path_selection_obeys_threshold():
-    assert regime_threshold(0) == 1.0
-    assert regime_threshold(7) == 7.0
     assert legendre_hat(5, 5.0).path is EvalPath.CLOSED_FORM
     assert legendre_hat(5, 4.999).path is EvalPath.SMALL_LAMBDA_SERIES
     assert chebyshev_hat(0, 0.5).path is EvalPath.SMALL_LAMBDA_SERIES
@@ -523,6 +520,29 @@ def test_closed_form_and_forward_substitution_serve_far_above_the_degree(monkeyp
             chebyshev_hat(m, lam)
             legendre_hat(m, lam)
             exp_cos_sine_integral(m, -1j * lam)
+
+
+@EACH_A
+@pytest.mark.parametrize("m", [0, 1, 3, 7, 8, 9, 20, 40])
+def test_closed_form_is_tried_exactly_from_its_reach(monkeypatch, a, m):
+    # the closed form is tried for F_m alone, from |lam| = max(1, m, m^2/8) on
+    tried = []
+    closed_form = transforms._closed_form
+
+    def recorder(a, m, lam):
+        tried.append((a, m, lam))
+        return closed_form(a, m, lam)
+
+    monkeypatch.setattr(transforms, "_closed_form", recorder)
+    bound = max(1.0, m, m * m / 8)
+    for r in (bound, math.nextafter(bound, 0.0)):
+        for lam in (complex(r), 1j * r):
+            tried.clear()
+            _sweep(a, m, lam, m)
+            assert tried == ([(a, m, lam)] if r >= bound else []), (r, lam)
+            for low in range(m):
+                _sweep(a, m, lam, low)
+            assert len(tried) <= 1, (r, lam)
 
 
 def beyond_700_points(seed, count=400):
