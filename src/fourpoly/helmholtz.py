@@ -8,21 +8,21 @@ unified transform method.  By the four-fold symmetry of the data the problem
 reduces to the single unknown function q(y) = u_x(-1, y), expanded here in
 Legendre polynomials.
 
-Writing a(lam) = lam + 1/lam, the boundary integrals on the left side are
+On the left side each boundary integral is a transform at a frequency mu,
 
-    D(lam) = int e^{a y} u(-1, y) dy,      N(lam) = int e^{a y} q(y) dy,
+    D^(mu) = int e^{-i mu y} u(-1, y) dy,      N^(mu) = int e^{-i mu y} q(y) dy,
 
-and since e^{a y} = e^{-i mu y} with mu = i a, N(lam) = N^(i a), where
-N^(mu) = int e^{-i mu y} q(y) dy has a transform value from `transforms` as
-each Legendre basis column.  A point lam has two frequencies,
+D^ in closed form and each Legendre basis column of N^ a transform value
+from `transforms`.  A point lam has two frequencies,
 
     z1 = lam - 1/lam,      z2 = i lam - 1/(i lam) = i (lam + 1/lam),
 
-with N(lam) = N^(z2) and N(-+ i lam) = N^(+-z1), so each point takes two
-degree sweeps, at z2 and at z1, by the evaluator's dispatch; the columns of
-N^(-z1) are exactly those of N^(z1) times (-1)^k.  Collocating the relations
+and its relations read the side at z2 and, for the turned points -+ i lam,
+at +-z1, so each point takes two degree sweeps, at z2 and at z1, by the
+evaluator's dispatch; the columns of N^(-z1) are exactly those of N^(z1)
+times (-1)^k, and D^(-z1) = D^(z1) since the data are even in y.  Collocating
 
-    cos z1 N^(z2) + cos z2 N^(+-z1) = z1 sin z1 D(lam) + z2 sin z2 D(-+ i lam)
+    cos z1 N^(z2) + cos z2 N^(+-z1) = z1 sin z1 D^(z2) + z2 sin z2 D^(z1)
 
 at M points gives a 2M x N linear system, row/column equilibrated in the
 l1 norm and solved by least squares; a system with a zero row or column
@@ -86,18 +86,18 @@ def _cosh_integral(a: complex, b: float) -> complex:
     return _sinhc(a + b) + _sinhc(a - b)
 
 
-def dirichlet_hat(lam: complex) -> complex:
-    """D(lam) = int_{-1}^{1} e^{(lam + 1/lam) y} u(-1, y) dy in closed form."""
-    lam = complex(lam)
-    if lam == 0 or not cmath.isfinite(lam):
-        raise ValueError("boundary transform requires finite lam != 0")
+def dirichlet_hat(mu: complex) -> complex:
+    """D^(mu) = int_{-1}^{1} e^{-i mu y} u(-1, y) dy in closed form, with a = -i mu."""
+    mu = complex(mu)
+    if not cmath.isfinite(mu):
+        raise ValueError(f"boundary transform requires a finite mu, got mu={mu}")
+    a = -1j * mu
     try:
-        a = lam + 1.0 / lam
         value = math.cosh(1.0) * _cosh_integral(a, SQRT3) + math.cosh(SQRT3) * _cosh_integral(a, 1.0)
     except OverflowError:  # cmath's range error: the value is beyond the double range
         value = math.inf
     if not cmath.isfinite(value):
-        raise OverflowError(f"boundary transform beyond the double range at lam={lam}")
+        raise OverflowError(f"boundary transform beyond the double range at mu={mu}")
     return value
 
 
@@ -124,8 +124,10 @@ class CollocationSystem(namedtuple("CollocationSystem", "matrix rhs")):
 def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> CollocationSystem:
     """Two global-relation rows per collocation point, unscaled.
 
-    `dirichlet` maps lam to the transformed boundary data, which must be even
-    in y; the default is the fixed symmetric problem above.  A point whose
+    Row pair r reads cos z1 N^(z2) + cos z2 N^(+-z1) = z1 sin z1 D^(z2) +
+    z2 sin z2 D^(z1) at the point's frequencies z1, z2.  The callback
+    `dirichlet` maps a frequency mu to the boundary transform D^(mu) of data
+    even in y; the default is the fixed symmetric problem above.  A point whose
     rows or right-hand side leave the double range raises `OverflowError`.
     """
     points = [complex(p) for p in points]
@@ -142,12 +144,7 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         try:
             z1 = lam - 1.0 / lam
             z2 = 1j * lam - 1.0 / (1j * lam)
-            c1 = cmath.cos(z1)
-            c2 = cmath.cos(z2)
-            f1 = z1 * cmath.sin(z1)
-            f2 = z2 * cmath.sin(z2)
-            d_lam = dirichlet(lam)
-            d_turned = dirichlet(-1j * lam)  # = D(i lam) bit for bit: the data are even in y
+            (c1, f1, d1), (c2, f2, d2) = ((cmath.cos(z), z * cmath.sin(z), dirichlet(z)) for z in (z1, z2))
         except (OverflowError, ValueError):  # cmath's range error, or its domain error at an infinite 1/lam
             rhs[2 * r] = math.nan  # marks the point as not finite for the check below
             break
@@ -156,7 +153,7 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         turned = c2 * np.array(_sweep(1, n_basis - 1, z1, 0))
         rows[2 * r] = base + turned
         rows[2 * r + 1] = base + parity * turned
-        rhs[2 * r] = rhs[2 * r + 1] = f1 * d_lam + f2 * d_turned
+        rhs[2 * r] = rhs[2 * r + 1] = f1 * d2 + f2 * d1  # D^(-z1) = D^(z1): the data are even in y
     finite = np.isfinite(rhs) & np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise OverflowError(f"collocation rows beyond the double range at lam={points[np.argmin(finite) // 2]}")

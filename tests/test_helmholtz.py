@@ -108,48 +108,54 @@ def test_cosh_integral_exact_zero_branch():
     assert abs(_cosh_integral(1.0, 1.0) - (math.sinh(2.0) / 2.0 + 1.0)) <= 1e-15
 
 
-def _dirichlet_quad(lam):
-    rule = gauss_legendre_rule(80)
-    a = lam + 1.0 / lam
-    return complex(np.sum(rule.weights * np.exp(a * rule.nodes) * dirichlet_trace(rule.nodes)))
+def _dirichlet_quad(mu, nodes=80):
+    """D^(mu) = int e^{-i mu y} u(-1, y) dy by a Gauss-Legendre rule."""
+    rule = gauss_legendre_rule(nodes)
+    return complex(np.sum(rule.weights * np.exp(-1j * mu * rule.nodes) * dirichlet_trace(rule.nodes)))
 
 
 def test_dirichlet_hat_values():
-    expected_at_i = 2 * math.cosh(1.0) * math.sinh(SQRT3) / SQRT3 + 2 * math.cosh(SQRT3) * math.sinh(1.0)
-    assert abs(dirichlet_hat(1j) - expected_at_i) <= 1e-13 * expected_at_i
-    for lam in (1.0, 2.5, 1j, 0.7 + 0.9j):
-        ref = _dirichlet_quad(complex(lam))
-        assert abs(dirichlet_hat(lam) - ref) <= 1e-11 * (1 + abs(ref))
+    expected_at_zero = 2 * math.cosh(1.0) * math.sinh(SQRT3) / SQRT3 + 2 * math.cosh(SQRT3) * math.sinh(1.0)
+    assert abs(dirichlet_hat(0) - expected_at_zero) <= 1e-13 * expected_at_zero
+    for mu in (0, 2.0, -1.5, 3j, 0.7 + 0.9j):
+        ref = _dirichlet_quad(complex(mu))
+        assert abs(dirichlet_hat(mu) - ref) <= 1e-11 * (1 + abs(ref)), mu
 
 
 def test_dirichlet_hat_near_removable_singularity():
-    # lam + 1/lam passes through sqrt(3), where one denominator vanishes
-    lam = complex(SQRT3 / 2.0, 0.5)
-    ref = _dirichlet_quad(lam)
-    assert abs(dirichlet_hat(lam) - ref) <= 1e-10 * (1 + abs(ref))
+    # at mu = +-i sqrt(3) and +-i the exponent a = -i mu is exactly +-sqrt(3)
+    # or +-1, so one of a +- b vanishes and _sinhc takes its zero branch
+    for mu in (1j * SQRT3, -1j * SQRT3, 1j, -1j):
+        assert any(-1j * mu + s * b == 0 for s in (1, -1) for b in (SQRT3, 1.0)), mu
+        ref = _dirichlet_quad(mu)
+        assert abs(dirichlet_hat(mu) - ref) <= 1e-10 * (1 + abs(ref)), mu
 
 
 def test_dirichlet_hat_domain_error():
-    with pytest.raises(ValueError):
-        dirichlet_hat(0.0)
-    # 1/lam is beyond the double range, or D(lam) is, with cosh and sinh
-    for lam in (1e-320, 709.5, 800.0):
-        message = f"boundary transform beyond the double range at lam={complex(lam)}"
+    for mu in (complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf):
+        with pytest.raises(ValueError, match="mu"):
+            dirichlet_hat(mu)
+    # e^{|Im mu|} is beyond the double range, with cosh and sinh
+    for mu in (709.5j, -800j, 1e308j):
+        message = f"boundary transform beyond the double range at mu={complex(mu)}"
         with pytest.raises(OverflowError, match=re.escape(message)):
-            dirichlet_hat(lam)
+            dirichlet_hat(mu)
+    # no 1/mu is taken, so tiny and huge real frequencies stay finite
+    for mu in (1e-320j, 1e-320, 1e308):
+        assert cmath.isfinite(dirichlet_hat(mu)), mu
 
 
-def test_dirichlet_hat_is_even_under_lam_to_minus_lam_bitwise():
-    # assembly evaluates D(-i lam) once per point and uses it for D(i lam) too
+def test_dirichlet_hat_is_even_under_mu_to_minus_mu_bitwise():
+    # assembly evaluates D^(z1) once per point and uses it for D^(-z1) too
     rng = np.random.default_rng(11)
-    lams = [*collocation_points(256), *(rng.uniform(-300, 300, 200) + 1j * rng.uniform(-300, 300, 200))]
-    for lam in lams:
-        assert np.complex128(dirichlet_hat(1j * lam)).tobytes() == np.complex128(dirichlet_hat(-1j * lam)).tobytes(), lam
+    mus = [*collocation_points(256), *(rng.uniform(-300, 300, 200) + 1j * rng.uniform(-300, 300, 200))]
+    for mu in mus:
+        assert np.complex128(dirichlet_hat(1j * mu)).tobytes() == np.complex128(dirichlet_hat(-1j * mu)).tobytes(), mu
 
 
 @pytest.mark.parametrize("points", [[704.0], [709.0], [1e-320], [1.0, 704.0, 709.0]])
 def test_assembly_beyond_the_double_range_names_the_first_such_point(points):
-    # at 704 the right-hand side overflows, from 709 cos, sin and D(lam)
+    # at 704 the right-hand side overflows, from 709 cos, sin and D^(z2)
     # raise a range error, and at 1e-320 the term 1/lam is infinite
     bad = next(p for p in points if p != 1.0)
     with pytest.raises(OverflowError, match=re.escape(f"lam={complex(bad)}")):
@@ -223,6 +229,19 @@ def test_assembled_rows_match_scalar_columns(n_basis, rule):
                 assert abs(got - (own + rotated)) <= 1e-12 * (1 + abs(own) + abs(rotated)), (r, half, col)
 
 
+@pytest.mark.parametrize("rule", [collocation_points, rotated_points], ids=["rule0", "rule1"])
+def test_assembled_rhs_matches_quadrature(rule):
+    # each frequency's factor z sin z pairs with the other frequency's transform
+    points = rule(40)
+    system = assemble_system(1, points)
+    for r, lam in enumerate(points):
+        z1, z2 = frequencies(lam)
+        first = z1 * cmath.sin(z1) * _dirichlet_quad(z2, 128)
+        second = z2 * cmath.sin(z2) * _dirichlet_quad(z1, 128)
+        for row in (2 * r, 2 * r + 1):
+            assert abs(system.rhs[row] - (first + second)) <= 1e-12 * (abs(first) + abs(second)), (r, row)
+
+
 def test_columns_at_zero_frequency_are_exact():
     # z1 = 0 at lam = 1 and z2 = 0 at lam = i, where the degree sweep gives
     # the exact values bit for bit (signed zeros included): p_0 integrates to
@@ -291,7 +310,7 @@ def test_assembly_checks_a_point_before_sweeping_it(monkeypatch):
 
 
 def test_assemble_zero_dirichlet_data_gives_zero_rhs():
-    system = assemble_system(3, [1.0, 2.0], dirichlet=lambda lam: 0.0)
+    system = assemble_system(3, [1.0, 2.0], dirichlet=lambda mu: 0.0)
     assert np.all(system.rhs == 0)
     assert np.any(system.matrix != 0)
 
