@@ -7,8 +7,8 @@ p_m(1) = 1, with a = 2 alpha: T_m at a = 0, P_m at a = 1 and U_m/(m+1) at
 a = 2 (DLMF 18.9).  `_sweep` gives F_low ... F_m by the cheapest stable
 algorithm: the closed form (F_m alone) where |lam| >= max(1, m, m^2/8) unless
 it cancels, else forward substitution in the degree (m rows) where |lam| > m
-and m^2 |Im lam| <= 2 |lam|^2, else Olver's algorithm (about 2 max(m, |lam|)
-rows), which at lam = 0 gives the exact rational values, rounded once.
+and m^2 |Im lam| <= 2 |lam|^2, else Olver's algorithm (about max(m, |lam|) rows
+near the real axis, fewer off it), exact at lam = 0 up to one rounding.
 
 The closed form sum_n c_n [e^{i lam} + (-1)^(n+m) e^{-i lam}] (i lam)^-n reads
 none of the paper's integer tables (`coeffs`): as c_n = (-1)^(m+n+1)
@@ -213,10 +213,11 @@ def _start(lam: complex) -> tuple[complex, tuple[complex, complex]]:
 def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     """F_low ... F_m (low <= m), at `_capped(lam)`, by Olver's algorithm.
 
-    Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  It stops
-    once k >= max(m, |lam|) and |h_m ... h_k|, the factor by which the
-    neglected F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the
-    min covers the Chebyshev F_{k+1}, up to 1/|lam| times F_m for small lam.
+    Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  From
+    k = m on it stops once |h_m ... h_k|, the factor by which the neglected
+    F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the min covers
+    the Chebyshev F_{k+1}, up to F_m/|lam| for small lam.  No k >= |lam| wait
+    is needed: near the real axis |h_k| stays near 1 until k passes |lam|.
     Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
     At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly
     (rounded once), and the elimination stops at row max(1, m).
@@ -245,10 +246,8 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
         if k >= low:
             gs.append(g)
             hs.append(h)
-            if k >= m:
-                reach *= abs(h)
-                if k >= alam and reach <= tol:
-                    break
+            if k >= m and (reach := reach * abs(h)) <= tol:
+                break
     else:
         raise RuntimeError("degree recurrence failed to converge")
     top = len(gs) - 1
@@ -275,13 +274,12 @@ def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
     f0, drive = _start(lam)
     z, f1 = 1j * lam, 1j * (drive[0] - f0) / lam
     rows = _rows(a, 1 << m.bit_length())
-    swept, keep = [f0, f1][low:m + 1], low - 1  # F_{k+1} is kept from k = low - 1 on: F_m alone at low = m
+    swept = [f0, f1]
     for k in range(1, m):
         alpha, beta, diff = rows[k]
         f0, f1 = f1, (f1 - diff * drive[k & 1] + z * beta * f0) / (z * alpha)
-        if k >= keep:
-            swept.append(f1)
-    return swept
+        swept.append(f1)
+    return swept[low:m + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,45 @@ def test_band_beyond_700_meets_1e_12():
         assert abs(value - reference) <= 1e-12 * abs(reference), (m, lam)
 
 
+@pytest.mark.parametrize("m, lam, low", [(40, 300j, 40), (63, 500j, 0), (1000, 3000 + 600j, 1000)])
+def test_olver_stops_on_its_estimate_far_off_the_real_axis(monkeypatch, m, lam, low):
+    # g = m^2 |Im lam|/|lam|^2 > 2 sends these to Olver's algorithm, whose
+    # estimate |h_m ... h_k| falls below its tolerance well before k = |lam|
+    read = []
+
+    class Rows(tuple):
+        def __getitem__(self, k):
+            read.append(k)
+            return tuple.__getitem__(self, k)
+
+    rows = transforms._rows
+    monkeypatch.setattr(transforms, "_rows", lambda a, size: Rows(rows(a, size)))
+    values = _sweep(1, m, lam, low)
+    assert max(read) < abs(lam), max(read)
+    assert len(values) == m + 1 - low
+    for k, value in enumerate(values, start=low):
+        reference = legendre_bessel_reference(k, lam)
+        assert abs(value - reference) <= 1e-12 * abs(reference), k
+
+
+def test_decaying_values_below_the_cap_keep_1e_12():
+    # Legendre m >= 1.2 |lam| near the imaginary axis, |lam| <= 700: F_m is
+    # far below e^{|Im lam|} there, so a scale of e^{-|Im lam|} on the
+    # algorithm's start values would underflow; the 700 cap scales none of them
+    rng = random.Random(20261026)
+    checked = 0
+    while checked < 40:
+        r = rng.uniform(300, 700)
+        m = round(math.exp(rng.uniform(math.log(math.ceil(1.2 * r)), math.log(3000))))
+        lam = cmath.rect(r, rng.choice((1, -1)) * math.pi / 2 + rng.uniform(-0.3, 0.3))
+        reference = legendre_bessel_reference(m, lam)
+        if abs(reference) < 1e-290:  # gradual underflow costs the double value its digits
+            continue
+        value = legendre_hat(m, lam).value
+        assert abs(value - reference) <= 1e-12 * abs(reference), (m, lam)
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
