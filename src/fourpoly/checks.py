@@ -64,8 +64,8 @@ _BESSEL_J_ZEROS = (
 
 def oracle_grid(m: int) -> list[complex]:
     """Points across every evaluation regime, mirrored in sign, for degree m,
-    and, for m <= 64 (the zero table's range), the largest zero of each of
-    J_0, J_1 and J_2 below m."""
+    and the largest tabulated zero of each of J_0, J_1 and J_2 below m; from
+    m = 72 on these are the table's last, 65.19, 69.90 and 71.44."""
     reals = [0.5, 1.0, 2.0, float(m + 1), float(m + 5), m - 0.5, m / 2]
     reals += [math.pi * max(1, round(m / (2 * math.pi))), math.pi * (m // math.pi + 1)]  # sin(lam) = 0
     grid = [complex(v) for v in reals] + [complex(-v) for v in reals]

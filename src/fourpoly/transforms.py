@@ -226,16 +226,20 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     z = 1j * lam
     alam = abs(lam)
     tol = 1e-17 * min(1.0, alam)
-    size = 2 * math.ceil(max(m, alam)) + 64
-    rows = _rows(a, 1 << (size - 1).bit_length())
+    rows = _rows(a, 1 << (m + 64).bit_length())  # up to |lam| = 40 the stop comes by row m + 64
     folded = complex(abs(lam.real), abs(lam.imag))  # the same anchor at lam, -lam and conj(lam)
     g, h, start = f, 0j, 1  # the anchor (module docstring): F_0, or row 1 is F_1 = g_1 with h_1 = 0
     if alam > 1.0 and abs(cmath.tan(folded - (a - 1) * math.pi / 4)) < 1.0:
         g, start = 1j * (drive[0] - f) / lam, 2
-    gs, hs = [f, g][low:start], [h, h][low:start]  # rows 0 (and 1), kept for a sweep from below
+    gs = [f, g][:start] + [0j] * (low - start)  # by degree: rows 0 (and 1), then padding up to low
+    hs = [h] * len(gs)
     reach = 1.0
-    for k in range(start, size):
-        alpha, beta, diff = rows[k]
+    for k in range(start, 2 * math.ceil(max(m, alam)) + 64):
+        try:
+            alpha, beta, diff = rows[k]
+        except IndexError:  # double the table: no length test per row
+            rows = _rows(a, 2 * len(rows))
+            alpha, beta, diff = rows[k]
         z_beta = z * beta
         pivot = 1.0 + z_beta * h
         # an exact zero pivot is a zero of the truncated determinant; a
@@ -252,20 +256,18 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
         raise RuntimeError("degree recurrence failed to converge")
     top = len(gs) - 1
     f1 = f2 = 0j  # F_{k+1}, F_{k+2}
-    for j in range(top, -1, -1):
-        h = hs[j]
-        if abs(h) > 1.0 and j < top:
+    for k in range(top, low - 1, -1):
+        h = hs[k]
+        if abs(h) > 1.0 and k < top:
             # a small pivot made g and h large, and g + h F_{k+1} would
             # cancel; take F_k from row k + 1 instead
-            k = low + j + 1
-            alpha, beta, diff = rows[k]
-            f = (diff * drive[k & 1] - f1 + z * alpha * f2) / (z * beta)
+            alpha, beta, diff = rows[k + 1]
+            f = (diff * drive[(k + 1) & 1] - f1 + z * alpha * f2) / (z * beta)
         else:
-            f = gs[j] + h * f1
+            f = gs[k] + h * f1
         f1, f2 = f, f1
-        gs[j] = f  # F_{low+j}; g_{low+j} is not read again
-    del gs[m + 1 - low:]
-    return gs
+        gs[k] = f  # g_k is not read again
+    return gs[low:m + 1]
 
 
 def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:

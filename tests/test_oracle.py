@@ -119,3 +119,22 @@ def test_cached_weighted_samples_are_read_only():
     for array in (nodes, weighted):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_quad_transform_doubles_until_two_orders_agree(monkeypatch):
+    # only the start order's value is off, so order 2n differs from it and
+    # order 4n agrees with 2n: the rule doubles twice and returns the 4n value
+    integrate = oracle._integrate
+    orders = []
+
+    def perturbed(family, m, lam, order):
+        orders.append(order)
+        value, mass = integrate(family, m, lam, order)
+        return (value + 1e-6 if len(orders) == 1 else value), mass
+
+    monkeypatch.setattr(oracle, "_integrate", perturbed)
+    lam = 7.25
+    value = quad_transform("legendre", 0, lam)
+    assert orders == [64, 128, 256]
+    assert value == integrate(Family.LEGENDRE, 0, lam, 256)[0]
+    assert abs(value - 2 * math.sin(lam) / lam) <= 1e-13

@@ -566,25 +566,58 @@ def test_band_beyond_700_meets_1e_12():
         assert abs(value - reference) <= 1e-12 * abs(reference), (m, lam)
 
 
-@pytest.mark.parametrize("m, lam, low", [(40, 300j, 40), (63, 500j, 0), (1000, 3000 + 600j, 1000)])
-def test_olver_stops_on_its_estimate_far_off_the_real_axis(monkeypatch, m, lam, low):
-    # g = m^2 |Im lam|/|lam|^2 > 2 sends these to Olver's algorithm, whose
-    # estimate |h_m ... h_k| falls below its tolerance well before k = |lam|
-    read = []
+@pytest.fixture
+def row_use(monkeypatch):
+    """Patches `transforms._rows`; returns the table sizes asked for and the rows read."""
+    asked, read = [], []
 
     class Rows(tuple):
         def __getitem__(self, k):
-            read.append(k)
-            return tuple.__getitem__(self, k)
+            row = tuple.__getitem__(self, k)
+            read.append(k)  # after the read: an index past a table that then grows is not counted
+            return row
 
     rows = transforms._rows
-    monkeypatch.setattr(transforms, "_rows", lambda a, size: Rows(rows(a, size)))
+
+    def recorded(a, size):
+        asked.append(size)
+        return Rows(rows(a, size))
+
+    monkeypatch.setattr(transforms, "_rows", recorded)
+    return asked, read
+
+
+@pytest.mark.parametrize("m, lam, low", [(40, 300j, 40), (63, 500j, 0), (1000, 3000 + 600j, 1000)])
+def test_olver_stops_on_its_estimate_far_off_the_real_axis(row_use, m, lam, low):
+    # g = m^2 |Im lam|/|lam|^2 > 2 sends these to Olver's algorithm, whose
+    # estimate |h_m ... h_k| falls below its tolerance well before k = |lam|
+    _, read = row_use
     values = _sweep(1, m, lam, low)
     assert max(read) < abs(lam), max(read)
     assert len(values) == m + 1 - low
     for k, value in enumerate(values, start=low):
         reference = legendre_bessel_reference(k, lam)
         assert abs(value - reference) <= 1e-12 * abs(reference), k
+
+
+@pytest.mark.parametrize("call, overflow", [
+    (lambda: _sweep(1, 127, 700j, 0), None),
+    (lambda: _sweep(1, 63, 500j, 0), None),
+    (lambda: legendre_hat(40, 300j), None),
+    (lambda: legendre_hat(2000, 1e5j), "transform value beyond the double range at m=2000, lam=100000j"),
+    (lambda: legendre_hat(4000, 4e5j), "transform value beyond the double range at m=4000, lam=400000j"),
+], ids=["sweep-127-700i", "sweep-63-500i", "legendre-40-300i", "legendre-2000-1e5i", "legendre-4000-4e5i"])
+def test_olver_builds_only_the_rows_it_reads(row_use, call, overflow):
+    # the table starts at the power of two above m + 64 and doubles as the sweep
+    # passes its end, so it stays within twice the rows read, however far
+    # 2 max(m, |lam|) lies
+    asked, read = row_use
+    if overflow:
+        with pytest.raises(OverflowError, match=f"^{overflow}$"):
+            call()
+    else:
+        call()
+    assert max(asked) <= 2 * (max(read) + 1), (asked, max(read))
 
 
 def test_decaying_values_below_the_cap_keep_1e_12():
