@@ -148,7 +148,7 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         except (OverflowError, ValueError):  # cmath's range error, or its domain error at an infinite 1/lam
             rhs[2 * r] = math.nan  # marks the point as not finite for the check below
             break
-        # sweep only after the checks above: at lam = 1e-300 a sweep would size its table at 2|z2| rows
+        # sweep only after the checks above: at lam = 1e-300 the z2 sweep raises a bare range error (`_uncapped`)
         base = c1 * np.array(_sweep(1, n_basis - 1, z2, 0))  # a = 1: Legendre
         turned = c2 * np.array(_sweep(1, n_basis - 1, z1, 0))
         rows[2 * r] = base + turned

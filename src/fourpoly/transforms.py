@@ -44,6 +44,15 @@ F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4) at F_0 (at a = 0,
 row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at F_1, so where the
 second is larger and |lam| > 1 the anchor is F_1.
 
+On the axes both run in floats, whose operations cost CPython about a third
+of complex ones.  At lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y and the
+drive (2 cosh y, 2 sinh y) are real, and so is every F_k.  At real lam = x,
+R_k = i^k F_k is real: R_k - x (alpha_k R_{k+1} + beta_k R_{k-1}) = d_k D_k,
+D_k = 2 cos x, 2 sin x, -2 cos x, -2 sin x by k mod 4.  Each map is a
+product with +-1 or +-i, and complex arithmetic rounds the part beside an
+exact zero as float arithmetic does, so the values equal the complex
+sweep's but for the sign of a zero part.
+
 The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
 integration-by-parts route to the Chebyshev transform is, with x = cos w,
 the transform of U_{m-1}, the Chebyshev polynomial of the second kind, at
@@ -203,11 +212,24 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-def _start(lam: complex) -> tuple[complex, tuple[complex, complex]]:
-    """F_0 (2 at lam = 0) and the drive B_{k+1} for k even, odd, at `_capped(lam)`."""
+def _start(lam: complex) -> tuple:
+    """The sweep of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k at `_capped(lam)`:
+    R_0 = F_0 (2 at lam = 0), (p, q), D_k by k & 3 and F_k / R_k by k & 3 (None: all 1).
+    Off the axes R_k = F_k, p = q = i lam and D_k = B_{k+1}; on them all are floats."""
     near = _capped(lam)
-    sine = cmath.sin(near)
-    return 2.0 * sine / lam if lam else 2.0 + 0j, (2.0 * cmath.cos(near), -2j * sine)
+    sine, cosine, z = cmath.sin(near), cmath.cos(near), 1j * lam
+    if not lam.real:  # lam = iy, or 0: z = -y and F_k are real
+        y, drive = lam.imag, (2.0 * cosine.real, 2.0 * sine.imag)
+        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4
+    if not lam.imag:  # lam = x: R_k = i^k F_k is real
+        x, drive = lam.real, (2.0 * cosine.real, 2.0 * sine.real)
+        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j)
+    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None
+
+
+def _turned(values: list, low: int, units) -> list[complex]:
+    """F_low ... from R_low ... (`values`) and the units F_k / R_k of `_start`."""
+    return values if units is None else [units[k & 3] * v for k, v in enumerate(values, low)]
 
 
 def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
@@ -220,17 +242,17 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     is needed: near the real axis |h_k| stays near 1 until k passes |lam|.
     Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
     At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly
-    (rounded once), and the elimination stops at row max(1, m).
+    (rounded once), and the elimination stops at row max(1, m).  On the
+    axes the sweep runs on the R_k of `_start`.
     """
-    f, drive = _start(lam)
-    z = 1j * lam
+    f, (p, q), drive, units = _start(lam)
     alam = abs(lam)
     tol = 1e-17 * min(1.0, alam)
     rows = _rows(a, 1 << (m + 64).bit_length())  # up to |lam| = 40 the stop comes by row m + 64
     folded = complex(abs(lam.real), abs(lam.imag))  # the same anchor at lam, -lam and conj(lam)
-    g, h, start = f, 0j, 1  # the anchor (module docstring): F_0, or row 1 is F_1 = g_1 with h_1 = 0
+    g, h, start = f, 0.0, 1  # the anchor (module docstring): F_0, or row 1 is F_1 = g_1 with h_1 = 0
     if alam > 1.0 and abs(cmath.tan(folded - (a - 1) * math.pi / 4)) < 1.0:
-        g, start = 1j * (drive[0] - f) / lam, 2
+        g, start = (f - drive[0]) / p, 2
     gs = [f, g][:start] + [0j] * (low - start)  # by degree: rows 0 (and 1), then padding up to low
     hs = [h] * len(gs)
     reach = 1.0
@@ -240,13 +262,13 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
         except IndexError:  # double the table: no length test per row
             rows = _rows(a, 2 * len(rows))
             alpha, beta, diff = rows[k]
-        z_beta = z * beta
-        pivot = 1.0 + z_beta * h
+        q_beta = q * beta
+        pivot = 1.0 + q_beta * h
         # an exact zero pivot is a zero of the truncated determinant; a
         # round-off-sized one gives the limit the next row needs
         pivot = pivot if pivot else 1e-16
-        h = z * alpha / pivot
-        g = (diff * drive[k & 1] - z_beta * g) / pivot
+        h = p * alpha / pivot
+        g = (diff * drive[k & 3] - q_beta * g) / pivot
         if k >= low:
             gs.append(g)
             hs.append(h)
@@ -255,33 +277,34 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     else:
         raise RuntimeError("degree recurrence failed to converge")
     top = len(gs) - 1
-    f1 = f2 = 0j  # F_{k+1}, F_{k+2}
+    f1 = f2 = 0.0  # R_{k+1}, R_{k+2}
     for k in range(top, low - 1, -1):
         h = hs[k]
         if abs(h) > 1.0 and k < top:
             # a small pivot made g and h large, and g + h F_{k+1} would
             # cancel; take F_k from row k + 1 instead
             alpha, beta, diff = rows[k + 1]
-            f = (diff * drive[(k + 1) & 1] - f1 + z * alpha * f2) / (z * beta)
+            f = (diff * drive[(k + 1) & 3] - f1 + p * alpha * f2) / (q * beta)
         else:
             f = gs[k] + h * f1
         f1, f2 = f, f1
         gs[k] = f  # g_k is not read again
-    return gs[low:m + 1]
+    return _turned(gs[low:m + 1], low, units)
 
 
 def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
     """F_low ... F_m (low <= m), at `_capped(lam)`, by forward substitution from the exact
-    F_0 and F_1: F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k)."""
-    f0, drive = _start(lam)
-    z, f1 = 1j * lam, 1j * (drive[0] - f0) / lam
+    F_0 and F_1: F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k),
+    run on R_k (`_start`)."""
+    f0, (p, q), drive, units = _start(lam)
+    f1 = (f0 - drive[0]) / p
     rows = _rows(a, 1 << m.bit_length())
     swept = [f0, f1]
     for k in range(1, m):
         alpha, beta, diff = rows[k]
-        f0, f1 = f1, (f1 - diff * drive[k & 1] + z * beta * f0) / (z * alpha)
+        f0, f1 = f1, (f1 - diff * drive[k & 3] + q * beta * f0) / (p * alpha)
         swept.append(f1)
-    return swept[low:m + 1]
+    return _turned(swept[low:m + 1], low, units)
 
 
 # ---------------------------------------------------------------------------

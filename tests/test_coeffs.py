@@ -135,8 +135,19 @@ def test_as_degree_returns_the_int_or_raises():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError, match="unknown polynomial family"):
-        as_family("hermite")
+    with pytest.raises(ValueError, match=r"^unknown polynomial family: 'Hermite'$"):
+        as_family("Hermite")
+
+
+@pytest.mark.parametrize("name, family", [
+    ("Legendre", Family.LEGENDRE),
+    ("CHEBYSHEV", Family.CHEBYSHEV),
+    (Family.LEGENDRE, Family.LEGENDRE),
+    (Family.CHEBYSHEV, Family.CHEBYSHEV),
+])
+def test_family_names_are_case_insensitive(name, family):
+    assert as_family(name) is family
+    assert coefficient_table(name, 3) is coefficient_table(family, 3)
 
 
 def test_table_length_must_match_degree():

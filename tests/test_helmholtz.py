@@ -301,8 +301,8 @@ def test_assembly_sweeps_twice_per_point(monkeypatch):
 
 
 def test_assembly_checks_a_point_before_sweeping_it(monkeypatch):
-    # at lam = 1e-300 a sweep would size its table at about 2e300 rows, so
-    # the point must fail its range checks before any sweep at it starts
+    # at lam = 1e-300 the z2 sweep raises a bare range error, so the point
+    # must fail its range checks, which name it, before any sweep at it starts
     calls = record_sweeps(monkeypatch)
     with pytest.raises(OverflowError, match=re.escape(f"lam={complex(1e-300)}")):
         assemble_system(8, [1.0, 1e-300])

@@ -400,6 +400,46 @@ def test_sweep_from_degree_zero_matches_scalar_path(a):
             assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (a, k, mu)
 
 
+def axis_points(seed, count=36):
+    """(a, m, lam) with m <= 30 on the real axis and on the imaginary one,
+    where the real part is +0.0 or -0.0 (`1j * z` gives -0.0 at negative z),
+    both signs; |lam| log-uniform in [1e-3, 100], and each third point at
+    700 < |Im lam| <= 705, where the sweep runs at the capped argument."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        a, m, sign = rng.choice((0, 1, 2)), rng.randint(0, 30), rng.choice((1.0, -1.0))
+        r = sign * (rng.uniform(700.001, 705) if i % 3 == 2 else 10 ** rng.uniform(-3, 2))
+        points.append((a, m, complex(r, 0.0) if i % 3 == 0 else complex(rng.choice((0.0, -0.0)), r)))
+    return points
+
+
+def test_axis_sweeps_are_real_up_to_the_unit_i_to_the_k(monkeypatch):
+    # on the axes the sweep runs in floats: F_k is real at lam = iy and
+    # i^k F_k at real lam, and each value comes back as a complex
+    ran = set()
+    for name in ("_recurrence", "_forward"):
+        def recorded(a, m, lam, low, name=name, algorithm=getattr(transforms, name)):
+            ran.add((name, lam.imag == 0))
+            return algorithm(a, m, lam, low)
+
+        monkeypatch.setattr(transforms, name, recorded)
+    for a, m, lam in axis_points(20261028):
+        # U_k/(k+1) at a = 2: its table is u_table(k) over k + 1
+        reference = [exact_value(u_table(k), k, lam) / (k + 1) if a == 2 else exact_value(exact_ratio_table(a, k), k, lam)
+                     for k in range(m + 2)]
+        for low in (m, 0):
+            values = _sweep(a, m, lam, low)
+            assert len(values) == m + 1 - low
+            for k, value in enumerate(values, low):
+                assert type(value) is complex, (a, k, lam)
+                assert ((1, 1j, -1, -1j)[k % 4] * value if lam.imag == 0 else value).imag == 0.0, (a, k, lam, value)
+                # |F_k| < |F_{k+1}|/20 puts real lam near a zero of F_k (see above)
+                if abs(reference[k]) >= 0.05 * abs(reference[k + 1]):
+                    assert abs(value - reference[k]) <= 1e-12 * abs(reference[k]), (a, k, lam)
+    assert ran == {(name, real) for name in ("_recurrence", "_forward") for real in (True, False)}
+
+
 # ---------------------------------------------------------------------------
 # envelope out to m = 400, against the closed form summed exactly
 # ---------------------------------------------------------------------------
