@@ -12,8 +12,11 @@
 # $u = \cosh(1)\cosh(\sqrt3 y) + \cosh(\sqrt3)\cosh(y)$ on every side, the
 # unified transform method couples the known boundary data with the unknown
 # side derivative $u_x(-1, y)$ through two algebraic global relations per
-# spectral point.  Expanding the unknown in N Legendre modes and collocating
-# at M points yields a 2M x N least-squares system.
+# spectral point.  The unknown is real, so the second relation at a point is
+# the complex conjugate of the first at the conjugate point: each point gives
+# one complex row.  Expanding the unknown in N Legendre modes and collocating
+# at M points yields M complex rows, whose real and imaginary parts make a
+# 2M x N real least-squares system.
 #
 # The exact solution $u = \cosh(x)\cosh(\sqrt3 y) + \cosh(\sqrt3 x)\cosh(y)$
 # provides the error oracle.
@@ -24,29 +27,39 @@ import numpy as np
 
 from fourpoly.helmholtz import REPORT_CSV_HEADER, exact_neumann, relative_error_einf, solve
 
+
+def solve_recording(n, m):
+    """One solve, and whether it warned that the system is under-resolved."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, report = solve(n, m)
+    return report, bool(caught)
+
+
 # ## Spectral convergence with M = 2N
 
-print("N   M    E_inf       cond        residual")
+print("N   M    E_inf       cond        residual   warns")
 for n in (4, 8, 12, 16, 20, 24):
-    expansion, report = solve(n, 2 * n)
-    print(f"{n:<3d} {2*n:<4d} {report.e_inf:.3e}  {report.cond:.3e}  {report.residual_norm:.3e}")
+    report, warned = solve_recording(n, 2 * n)
+    print(f"{n:<3d} {2*n:<4d} {report.e_inf:.3e}  {report.cond:.3e}  {report.residual_norm:.3e}  {warned}")
 
 # The error falls from ~1e-2 to ~1e-13 while the condition number of the
 # row/column equilibrated matrix stays tame: over-determining by a factor of
-# two keeps the least-squares problem well behaved.
+# two keeps the least-squares problem well behaved.  At N = 4 and 8 the solve
+# warns, as the truncation error leaves a residual whose product with the
+# condition number exceeds 1e-8.
 
 # ## Under-determination ruins the conditioning
 #
-# With M = N/2 the system is square (two relations per point) and the
-# condition number explodes; the recovered coefficients are garbage even
-# though the residual is tiny.
+# With M = N/2 there are as many real equations as unknowns, but at
+# lambda = 1 the imaginary one is zero, so the system is rank-deficient: the
+# condition number reaches 1/eps, the solve warns, and the recovered
+# coefficients are garbage even though the residual is tiny.
 
-print("\nN   M    E_inf       cond")
+print("\nN   M    E_inf       cond        rank  warns")
 for n in (8, 16, 24):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, report = solve(n, n // 2)
-    print(f"{n:<3d} {n//2:<4d} {report.e_inf:.3e}  {report.cond:.3e}")
+    report, warned = solve_recording(n, n // 2)
+    print(f"{n:<3d} {n//2:<4d} {report.e_inf:.3e}  {report.cond:.3e}  {report.rank:<4d}  {warned}")
 
 # ## The recovered trace
 #

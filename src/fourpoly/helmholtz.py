@@ -18,14 +18,15 @@ from `transforms`.  A point lam has two frequencies,
     z1 = lam - 1/lam,      z2 = i lam - 1/(i lam) = i (lam + 1/lam),
 
 and its relations read the side at z2 and, for the turned points -+ i lam,
-at +-z1, so each point takes two degree sweeps, at z2 and at z1, by the
-evaluator's dispatch; the columns of N^(-z1) are exactly those of N^(z1)
-times (-1)^k, and D^(-z1) = D^(z1) since the data are even in y.  Collocating
+at +-z1.  As q is real, the relation at +i lam is the conjugate of the one at
+-i lam for the point conj(lam), so each point gives one complex row, from two
+degree sweeps, at z2 and at z1, by the evaluator's dispatch.  Collocating
 
-    cos z1 N^(z2) + cos z2 N^(+-z1) = z1 sin z1 D^(z2) + z2 sin z2 D^(z1)
+    cos z1 N^(z2) + cos z2 N^(z1) = z1 sin z1 D^(z2) + z2 sin z2 D^(z1)
 
-at M points gives a 2M x N linear system, row/column equilibrated in the
-l1 norm and solved by least squares; a system with a zero row or column
+at M points gives an M x N complex system, row/column equilibrated in the
+l1 norm, whose real and imaginary parts, 2M real equations in the N real
+coefficients, are solved by least squares; a system with a zero row or column
 cannot be equilibrated and raises `np.linalg.LinAlgError`, as `lstsq` does.
 
 The exact solution u = cosh(x) cosh(sqrt(3) y) + cosh(sqrt(3) x) cosh(y)
@@ -115,20 +116,21 @@ def collocation_points(count: int) -> list[complex]:
 
 
 class CollocationSystem(namedtuple("CollocationSystem", "matrix rhs")):
-    """A 2M x N system, unscaled from `assemble_system` or equilibrated by
-    `scale_system`."""
+    """An M x N complex system, one row per point, unscaled from
+    `assemble_system` or equilibrated by `scale_system`."""
 
     __slots__ = ()
 
 
 def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> CollocationSystem:
-    """Two global-relation rows per collocation point, unscaled.
+    """One global-relation row per collocation point, unscaled.
 
-    Row pair r reads cos z1 N^(z2) + cos z2 N^(+-z1) = z1 sin z1 D^(z2) +
-    z2 sin z2 D^(z1) at the point's frequencies z1, z2.  The callback
-    `dirichlet` maps a frequency mu to the boundary transform D^(mu) of data
-    even in y; the default is the fixed symmetric problem above.  A point whose
-    rows or right-hand side leave the double range raises `OverflowError`.
+    Row r reads cos z1 N^(z2) + cos z2 N^(z1) = z1 sin z1 D^(z2) +
+    z2 sin z2 D^(z1) at the point's frequencies z1, z2; the relation at the
+    other turned point is the conjugate of row r at conj(lam).  The callback
+    `dirichlet` maps a frequency mu to the boundary transform D^(mu) of real
+    data; the default is the fixed symmetric problem above.  A point whose
+    row or right-hand side leaves the double range raises `OverflowError`.
     """
     points = [complex(p) for p in points]
     if n_basis < 1:
@@ -137,26 +139,23 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         raise ValueError("need at least one collocation point")
     if any(p == 0 for p in points):
         raise ValueError("collocation points must be nonzero")
-    rows = np.zeros((2 * len(points), n_basis), dtype=complex)
-    rhs = np.zeros(2 * len(points), dtype=complex)
-    parity = (-1.0) ** np.arange(n_basis)
+    rows = np.zeros((len(points), n_basis), dtype=complex)
+    rhs = np.zeros(len(points), dtype=complex)
     for r, lam in enumerate(points):
         try:
             z1 = lam - 1.0 / lam
             z2 = 1j * lam - 1.0 / (1j * lam)
             (c1, f1, d1), (c2, f2, d2) = ((cmath.cos(z), z * cmath.sin(z), dirichlet(z)) for z in (z1, z2))
         except (OverflowError, ValueError):  # cmath's range error, or its domain error at an infinite 1/lam
-            rhs[2 * r] = math.nan  # marks the point as not finite for the check below
+            rhs[r] = math.nan  # marks the point as not finite for the check below
             break
         # sweep only after the checks above: at lam = 1e-300 the z2 sweep raises a bare range error (`_uncapped`)
-        base = c1 * np.array(_sweep(1, n_basis - 1, z2, 0))  # a = 1: Legendre
-        turned = c2 * np.array(_sweep(1, n_basis - 1, z1, 0))
-        rows[2 * r] = base + turned
-        rows[2 * r + 1] = base + parity * turned
-        rhs[2 * r] = rhs[2 * r + 1] = f1 * d2 + f2 * d1  # D^(-z1) = D^(z1): the data are even in y
+        # a = 1: Legendre
+        rows[r] = c1 * np.array(_sweep(1, n_basis - 1, z2, 0)) + c2 * np.array(_sweep(1, n_basis - 1, z1, 0))
+        rhs[r] = f1 * d2 + f2 * d1
     finite = np.isfinite(rhs) & np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise OverflowError(f"collocation rows beyond the double range at lam={points[np.argmin(finite) // 2]}")
+        raise OverflowError(f"collocation rows beyond the double range at lam={points[np.argmin(finite)]}")
     return CollocationSystem(rows, rhs)
 
 
@@ -190,10 +189,10 @@ class NeumannExpansion(namedtuple("NeumannExpansion", "coefficients")):
 
 
 class SolveReport(
-    namedtuple("SolveReport", "basis_size point_count e_inf cond residual_norm seconds rank imag_norm")
+    namedtuple("SolveReport", "basis_size point_count e_inf cond residual_norm seconds rank")
 ):
-    """One solve; `csv_row` omits `rank` (of the scaled matrix, from lstsq) and
-    `imag_norm` (of the imaginary part dropped from the coefficients)."""
+    """One solve; `cond`, `residual_norm` and `rank` refer to the real
+    2M x N system that `solve` hands lstsq, and `csv_row` omits `rank`."""
 
     __slots__ = ()
 
@@ -215,24 +214,25 @@ def relative_error_einf(expansion: NeumannExpansion) -> float:
 def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport]:
     """Assemble, equilibrate and least-squares solve; report error and conditioning.
 
-    Requires point_count >= ceil(n_basis / 2) so the system has at least as
-    many rows as unknowns.  The condition number refers to the scaled matrix.
+    The coefficients solve the real 2M x N system [Re S; Im S] of the
+    equilibrated rows S, to which cond, residual and rank refer.  It needs
+    M >= ceil(N/2) points; at M = N/2 it is rank-deficient, as the imaginary
+    row at lam = 1 (z1 = 0) is zero.  A solve with cond * residual > 1e-8 warns.
     """
     if point_count < max(1, -(-n_basis // 2)):
         raise ValueError("need at least ceil(N/2) collocation points")
     start = time.perf_counter()
     scaled, col_norms = scale_system(assemble_system(n_basis, collocation_points(point_count)))
-    scaled_solution, _, rank, singular_values = np.linalg.lstsq(scaled.matrix, scaled.rhs, rcond=None)
-    solution = scaled_solution / col_norms
-    imag_norm = float(np.linalg.norm(solution.imag))
-    if imag_norm > 1e-8:
-        # the underlying unknown is real; a large imaginary residue signals an
-        # under-resolved (e.g. M = N/2) system, which is still allowed to run
-        warnings.warn(f"imaginary part of coefficients has norm {imag_norm:.2e}", stacklevel=2)
-    coefficients = solution.real.copy()
-    residual = float(np.linalg.norm(scaled.matrix @ scaled_solution - scaled.rhs))
-    cond = float(singular_values[0] / singular_values[-1]) if singular_values[-1] > 0 else math.inf
-    expansion = NeumannExpansion(coefficients)
+    matrix = np.concatenate((scaled.matrix.real, scaled.matrix.imag))
+    rhs = np.concatenate((scaled.rhs.real, scaled.rhs.imag))
+    scaled_solution, _, rank, singular_values = np.linalg.lstsq(matrix, rhs, rcond=None)
+    residual = float(np.linalg.norm(matrix @ scaled_solution - rhs))
+    # a singular value below eps times the largest is rounding, so cond is at most 1/eps
+    cond = float(singular_values[0] / max(singular_values[-1], np.finfo(float).eps * singular_values[0]))
+    if cond * residual > 1e-8:
+        # an under-resolved (e.g. M = N/2) system, which is still allowed to run
+        warnings.warn(f"cond * residual is {cond * residual:.2e}: the system is under-resolved", stacklevel=2)
+    expansion = NeumannExpansion(scaled_solution / col_norms)
     report = SolveReport(
         basis_size=n_basis,
         point_count=point_count,
@@ -241,6 +241,5 @@ def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport
         residual_norm=residual,
         seconds=time.perf_counter() - start,
         rank=int(rank),
-        imag_norm=imag_norm,
     )
     return expansion, report

@@ -146,7 +146,8 @@ def test_dirichlet_hat_domain_error():
 
 
 def test_dirichlet_hat_is_even_under_mu_to_minus_mu_bitwise():
-    # assembly evaluates D^(z1) once per point and uses it for D^(-z1) too
+    # the relation at i lam reads D^(-z1); its row is the conjugate of the
+    # row at conj(lam), which reads D^(z1) there (see the bitwise test below)
     rng = np.random.default_rng(11)
     mus = [*collocation_points(256), *(rng.uniform(-300, 300, 200) + 1j * rng.uniform(-300, 300, 200))]
     for mu in mus:
@@ -200,46 +201,55 @@ def rotated_points(count, angles=(0.0, 0.6, 1.2)):
 
 def test_assemble_single_point_hand_value():
     # at lam = i the frequency lam + 1/lam vanishes, so the first basis
-    # column reduces to cosh(2) * 2 + 1 * sinh(2) in both relation rows
+    # column reduces to cosh(2) * 2 + 1 * sinh(2) in both relations: in the
+    # row at i, and in the other relation, the conjugate of the row at -i
     system = assemble_system(1, [1j])
+    assert system.matrix.shape == (1, 1) and system.rhs.shape == (1,)
+    other = assemble_system(1, [-1j])
     expected_entry = 2.0 * math.cosh(2.0) + math.sinh(2.0)
-    assert abs(system.matrix[0, 0] - expected_entry) <= 1e-13 * expected_entry
-    assert abs(system.matrix[1, 0] - expected_entry) <= 1e-13 * expected_entry
     expected_rhs = -2.0 * math.sinh(2.0) * (
         2 * math.cosh(1.0) * math.sinh(SQRT3) / SQRT3 + 2 * math.cosh(SQRT3) * math.sinh(1.0)
     )
-    assert abs(system.rhs[0] - expected_rhs) <= 1e-12 * abs(expected_rhs)
-    assert abs(system.rhs[1] - expected_rhs) <= 1e-12 * abs(expected_rhs)
+    for entry, rhs in ((system.matrix[0, 0], system.rhs[0]), (other.matrix[0, 0].conj(), other.rhs[0].conj())):
+        assert abs(entry - expected_entry) <= 1e-13 * expected_entry
+        assert abs(rhs - expected_rhs) <= 1e-12 * abs(expected_rhs)
 
 
 @pytest.mark.parametrize("n_basis", [1, 2, 20, 64])
 @pytest.mark.parametrize("rule", [collocation_points, rotated_points], ids=["rule0", "rule1"])
 def test_assembled_rows_match_scalar_columns(n_basis, rule):
-    # the scalar column loop the sweep replaced is the reference
+    # the scalar column loop the sweep replaced is the reference, at the
+    # turned point -i lam for row r and at i lam for the conjugate of the
+    # row assembled at conj(lam)
     points = rule(40)
     system = assemble_system(n_basis, points)
+    assert system.matrix.shape == (len(points), n_basis)
+    conjugate = assemble_system(n_basis, [lam.conjugate() for lam in points]).matrix.conj()
     for r, lam in enumerate(points):
         c1 = cmath.cos(lam - 1.0 / lam)
         c2 = cmath.cos(1j * lam - 1.0 / (1j * lam))
-        for half, rot in ((0, -1j), (1, 1j)):
+        for rows, rot in ((system.matrix, -1j), (conjugate, 1j)):
             for col in range(n_basis):
                 own = c1 * neumann_column(col, lam)
                 rotated = c2 * neumann_column(col, rot * lam)
-                got = system.matrix[2 * r + half, col]
-                assert abs(got - (own + rotated)) <= 1e-12 * (1 + abs(own) + abs(rotated)), (r, half, col)
+                got = rows[r, col]
+                assert abs(got - (own + rotated)) <= 1e-12 * (1 + abs(own) + abs(rotated)), (r, rot, col)
 
 
 @pytest.mark.parametrize("rule", [collocation_points, rotated_points], ids=["rule0", "rule1"])
 def test_assembled_rhs_matches_quadrature(rule):
-    # each frequency's factor z sin z pairs with the other frequency's transform
+    # each frequency's factor z sin z pairs with the other frequency's
+    # transform, in row r and in the conjugate of the row at conj(lam), whose
+    # relation reads D^(-z1) = D^(z1) (the data are even in y)
     points = rule(40)
     system = assemble_system(1, points)
+    conjugate = assemble_system(1, [lam.conjugate() for lam in points]).rhs.conj()
     for r, lam in enumerate(points):
         z1, z2 = frequencies(lam)
         first = z1 * cmath.sin(z1) * _dirichlet_quad(z2, 128)
         second = z2 * cmath.sin(z2) * _dirichlet_quad(z1, 128)
-        for row in (2 * r, 2 * r + 1):
-            assert abs(system.rhs[row] - (first + second)) <= 1e-12 * (abs(first) + abs(second)), (r, row)
+        for rhs in (system.rhs, conjugate):
+            assert abs(rhs[r] - (first + second)) <= 1e-12 * (abs(first) + abs(second)), r
 
 
 def test_columns_at_zero_frequency_are_exact():
@@ -267,7 +277,7 @@ def test_columns_at_zero_frequency_are_exact():
 
 def test_turned_columns_differ_by_parity_exactly():
     # p_k-hat(-mu) = (-1)^k p_k-hat(mu) bit for bit, and the frequency at
-    # i lam is -z1, which lets assembly take the i lam columns from the z1 sweep
+    # i lam is -z1, so the relation at i lam takes its columns from the z1 sweep
     rng = np.random.default_rng(11)
     randoms = rng.uniform(-20.0, 20.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
     lams = [*collocation_points(40), *rotated_points(40), *randoms]
@@ -275,6 +285,24 @@ def test_turned_columns_differ_by_parity_exactly():
     for lam in lams:
         z1 = frequencies(lam)[0]
         assert np.array_equal(legendre_sweep(40, -z1), parity * legendre_sweep(40, z1)), lam
+
+
+def test_second_relation_is_the_conjugate_row_at_conj_lam_exactly():
+    # the relation at i lam reads N^(-z1) and D^(-z1); built as a second row
+    # the way assembly once did (the z1 sweep times (-1)^k, and D^(z1)), it
+    # equals the conjugate of the row assembled at conj(lam), so for a real
+    # unknown it adds no equation that the point conj(lam) does not give
+    rng = np.random.default_rng(31)
+    lams = rng.uniform(0.2, 30.0, 300) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    parity = (-1.0) ** np.arange(24)
+    for lam in map(complex, lams):
+        z1 = lam - 1.0 / lam
+        z2 = 1j * lam - 1.0 / (1j * lam)
+        row = cmath.cos(z1) * legendre_sweep(24, z2) + parity * (cmath.cos(z2) * legendre_sweep(24, z1))
+        rhs = z1 * cmath.sin(z1) * dirichlet_hat(z2) + z2 * cmath.sin(z2) * dirichlet_hat(z1)
+        conjugate = assemble_system(24, [lam.conjugate()])
+        assert np.array_equal(row, conjugate.matrix[0].conj()), lam
+        assert rhs == conjugate.rhs[0].conjugate(), lam
 
 
 def record_sweeps(monkeypatch):
@@ -389,9 +417,19 @@ def test_report_states_numerical_rank():
     assert report.rank == 20
 
 
-def test_report_states_imaginary_residue():
-    _, report = solve(20, 40)
-    assert math.isfinite(report.imag_norm) and report.imag_norm <= 1e-8
+@pytest.mark.parametrize("n, m", [(12, 24), (20, 40), (64, 256)])
+def test_real_solve_matches_complex_lstsq_of_both_relations(n, m):
+    # the reference keeps both relations at each real point as complex rows,
+    # [S; conj S], and the real part of their complex least-squares solution
+    scaled, col_norms = scale_system(assemble_system(n, collocation_points(m)))
+    stacked = np.concatenate((scaled.matrix, scaled.matrix.conj()))
+    rhs = np.concatenate((scaled.rhs, scaled.rhs.conj()))
+    solution, _, rank, singular = np.linalg.lstsq(stacked, rhs, rcond=None)
+    reference = solution.real / col_norms
+    expansion, report = solve(n, m)
+    assert np.linalg.norm(expansion.coefficients - reference) <= 1e-8 * np.linalg.norm(reference)
+    assert abs(report.cond - singular[0] / singular[-1]) <= 1e-6 * report.cond
+    assert report.rank == rank
 
 
 def test_solver_requires_enough_points():
@@ -403,22 +441,42 @@ def test_solver_requires_enough_points():
         solve(0, 3)
 
 
-def test_well_posed_solve_has_real_coefficients():
-    # the underlying unknown is real; with M = 2N no imaginary-residue
-    # warning fires, i.e. the imaginary norm stays below 1e-8
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solve(12, 24)
-    assert not caught
+def test_well_posed_solves_do_not_warn():
+    # with M = 2N these sizes resolve q: cond * residual stays below 1e-8
+    for n, m in ((12, 24), (16, 32), (20, 40)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(n, m)
+        assert not caught, (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(16, 16), (20, 20), (24, 24), (24, 36), (32, 48), (48, 96), (64, 128)])
+def test_under_resolved_solves_warn(n, m):
+    # sizes where the rank is full, or at (64, 128) one short, but the
+    # condition number times the residual exceeds 1e-8
+    with pytest.warns(UserWarning, match="under-resolved"):
+        solve(n, m)
 
 
 def test_half_point_count_runs_but_degrades():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # at M = N/2 the imaginary row at lam = 1 is zero, so the system is
+    # rank-deficient and warns
+    with pytest.warns(UserWarning, match="under-resolved"):
         _, under = solve(16, 8)
+    assert under.rank < 16
     _, over = solve(16, 32)
     assert under.e_inf > over.e_inf
     assert under.cond > over.cond
+
+
+def test_singular_system_reports_cond_of_one_over_eps():
+    # at (4, 2) the smallest singular value is below eps times the largest
+    # (here it is 0.0); cond stays finite, as the CSV row of every study cell
+    # must be, and the solve warns
+    with pytest.warns(UserWarning, match="under-resolved"):
+        _, report = solve(4, 2)
+    assert report.cond == 1.0 / np.finfo(float).eps
+    assert report.rank == 3
 
 
 def test_odd_modes_come_out_near_zero():
@@ -433,11 +491,12 @@ def test_global_relation_residual_at_non_collocated_points():
     expansion, report = solve(16, 32)
     c = expansion.coefficients.astype(complex)
     for lam in np.linspace(1.1, 4.9, 50):
+        # the row at lam, and the other relation: the conjugate of the row at conj(lam)
         single = assemble_system(16, [complex(lam)])
-        for r in range(2):
-            row = single.matrix[r]
+        other = assemble_system(16, [complex(lam).conjugate()])
+        for row, rhs in ((single.matrix[0], single.rhs[0]), (other.matrix[0].conj(), other.rhs[0].conj())):
             norm = np.sum(np.abs(row))
-            residual = abs(np.dot(row, c) - single.rhs[r]) / norm
+            residual = abs(np.dot(row, c) - rhs) / norm
             assert residual <= 10.0 * report.residual_norm, lam
 
 
