@@ -17,9 +17,7 @@ p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
     r_n = c_{n+1}/c_n = -(m-n+1)(m+n-1+a)/(2n-1+a)
 
 over i lam.  Its terms grow until n ~ m^2/(2|lam|), so in doubles it cancels
-below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  All
-three take e^{+-i lam}, sin and cos at `_capped(lam)`, and `_sweep` restores
-the factor (`_uncapped`), so only a value beyond the double range overflows.
+below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -44,12 +42,17 @@ F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4) at F_0 (at a = 0,
 row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at F_1, so where the
 second is larger and |lam| > 1 the anchor is F_1.
 
-On the axes both run in floats, whose operations cost CPython about a third
-of complex ones.  At lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y and the
-drive (2 cosh y, 2 sinh y) are real, and so is every F_k.  At real lam = x,
-R_k = i^k F_k is real: R_k - x (alpha_k R_{k+1} + beta_k R_{k-1}) = d_k D_k,
-D_k = 2 cos x, 2 sin x, -2 cos x, -2 sin x by k mod 4.  Each map is a
-product with +-1 or +-i, and complex arithmetic rounds the part beside an
+Each bracket of the closed form is a drive term, F_m = (-1)^m sum_n c_n
+(-i lam)^-n B_{n+m+1}, so all three algorithms read sin and cos, taken at
+|Im lam| capped at 700, from `_start`; `_sweep` restores the factor
+(`_uncapped`), so only a value beyond the double range overflows.
+
+On the axes all three run in floats, whose operations cost CPython about a
+third of complex ones.  At lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y
+and the drive (2 cosh y, 2 sinh y) are real, and so is every F_k.  At real
+lam = x, R_k = i^k F_k is real: R_k - x (alpha_k R_{k+1} + beta_k R_{k-1}) =
+d_k D_k, D_k = 2 cos x, 2 sin x, -2 cos x, -2 sin x by k mod 4.  Each map is
+a product with +-1 or +-i, and complex arithmetic rounds the part beside an
 exact zero as float arithmetic does, so the values equal the complex
 sweep's but for the sign of a zero part.
 
@@ -119,20 +122,26 @@ def zero_lambda_value(family: Family | str, m: int):
 # closed form
 # ---------------------------------------------------------------------------
 
-# Once sum |term| exceeds this multiple of |e^{i lam} P| + |e^{-i lam} Q|,
-# the part-sums P and Q have cancelled too far for double accumulation: at
-# ratio 244 (T_16 at a zero of J_2) the closed form is off by 7.4e-13
+# Once the terms' size exceeds this multiple of the size of the two halves
+# (`_closed_form`), a half has cancelled too far for double accumulation: at
+# ratio 340 (T_16 at a zero of J_2) the closed form is off by 8.7e-13
 # relative, the recurrence by 1.6e-14; `_sweep` then takes another algorithm.
+# The halves cancelling each other near a zero of F_m is left out: forward
+# substitution loses more there (2.0e-11 against 4.3e-13 at T_128, -13696.24).
 _CANCEL_LIMIT = 64.0
 
-# The closed form is tried only where |lam| >= max(1, m, m^2/_CLOSED_FORM_REACH): at 4523
-# random points (|lam| >= max(1, m), m <= 1000, a <= 2) it cancelled at all
-# but 2 of the 1758 beyond, both with m^2 < 8.9 |lam|, and served 2260 of 2765.
+# The closed form is tried only where |lam| >= max(1, m, m^2/_CLOSED_FORM_REACH):
+# at 4500 random points (a <= 2, m <= 1000, |Im lam| <= 700, |lam| log-uniform
+# from max(1, m, m^2/64) to 8 max(1, m, m^2/8)) it cancelled at all 2932
+# below that bound and served 1338 of the 1568 from it on.
 _CLOSED_FORM_REACH = 8.0
 
 # Forward substitution needs g = m^2 |Im lam|/|lam|^2 <= _FORWARD_GROWTH: at
 # 2860 random points (a <= 2, m <= 1000, m < |lam| <= 60m, off zeros of F_m)
 # its worst error against Olver's was 1.3e-13 to g = 2.4, 1.1e-10 at g ~ 8.
+# Near zeros of a Chebyshev F_m on the imaginary axis it does worse: 1.2e-12
+# (Olver's 3.0e-13) at T_32, lam = 602.34j, g = 1.70, and 1.2e-11 (1.9e-12)
+# at T_19, lam = 211.54j, g = 1.71.
 _FORWARD_GROWTH = 2.0
 
 _LN2 = math.log(2.0)
@@ -149,45 +158,34 @@ def closed_form_ratios(a: int, m: int) -> tuple[tuple[int, int], ...]:
 
 
 def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
-    """Closed-form value and the cancellation ratio of its part-sums.
+    """Closed-form F_m and the cancellation ratio within its two halves.
 
-    For real lam, w = 1/(i lam) is purely imaginary and every product keeps
-    its zero component exactly, so parity, conjugation and realness hold
-    exactly.  Like the other two algorithms, it works at `_capped(lam)`.
+    On the q, drive and units of `_start`, F_m is R_m = sum_n t_n D_{(n+m) & 3}, t_n =
+    (-1)^m c_n (-q)^-n.  Off the axes D_k = e^{-i lam} + (-1)^k e^{i lam}, so R' = sum_n t_n
+    D_{(n+m+1) & 3} negates the e^{i lam} half, and |R_m| + |R'| is one to two times the halves'
+    size (on the real axis R_m, R' are twice the parts of one): the ratio (|D_0| + |D_1|) sum |t_n|
+    / (|R_m| + |R'|) leaves out the halves cancelling near a zero of F_m (`_CANCEL_LIMIT`).  On
+    the axes all terms are floats, so parity, conjugation and realness hold exactly.
     """
-    near = _capped(lam)
-    e_plus = cmath.exp(1j * near)
-    e_minus = cmath.exp(-1j * near)
-    w = 1.0 / (1j * lam)
-    if not w:  # the division overflowed, so |Im lam| > 1e300 and F_m ~ e^{|Im lam|} too
+    _, (_, q), drive, units = _start(lam)
+    w = -1.0 / q
+    if not w:  # 1/(i lam) rounded to 0: both parts of lam are near 1e308, and F_m ~ e^{|Im lam|} too
         raise OverflowError("closed form beyond the double range")
-    term = 1.0 + 0j  # c_0 w^0, so that c_1 is the first ratio
-    sign = 1 if m % 2 else -1  # (-1)^(n+m) starting at n = 1
-    part_plus = 0j  # P = sum c_n w^n, multiplies e^{i lam}
-    part_minus = 0j  # Q = sum (-1)^(n+m) c_n w^n, multiplies e^{-i lam}
-    magnitude = 0.0
-    for num, den in closed_form_ratios(a, m):
+    term = -1.0 if m % 2 else 1.0  # (-1)^m c_0 w^0, so that c_1 is the first ratio
+    total = other = magnitude = 0.0
+    for k, (num, den) in enumerate(closed_form_ratios(a, m), m + 1):
         term *= num / den * w
-        part_plus += term
-        part_minus += sign * term
-        magnitude += abs(term.real) + abs(term.imag)
-        sign = -sign
-    plus = e_plus * part_plus
-    minus = e_minus * part_minus
-    kept = abs(plus) + abs(minus)
-    scale = (abs(e_plus) + abs(e_minus)) * magnitude
-    return plus + minus, scale / kept if kept else math.inf
-
-
-def _capped(lam: complex) -> complex:
-    """lam with |Im lam| capped at 700: e^{+-i lam} there lacks e^{|Im lam| - 700}."""
-    return complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
+        total += term * drive[k & 3]
+        other += term * drive[(k + 1) & 3]
+        magnitude += abs(term)
+    scale = (abs(drive[0]) + abs(drive[1])) * magnitude
+    return _turned([total], m, units)[0], scale / (abs(total) + abs(other)) if total or other else math.inf
 
 
 def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
-    """values, taken at `_capped(lam)`, times e^{|Im lam| - 700} as e^r 2^k
-    with r < ln 2: the factor, which overflows from |Im lam| = 1409.78 on, is
-    never formed, so only a product beyond the double range raises (ldexp)."""
+    """values, taken at the capped lam of `_start`, times e^{|Im lam| - 700} as
+    e^r 2^k with r < ln 2: the factor, which overflows from |Im lam| = 1409.78
+    on, is never formed, so only a product beyond the double range raises (ldexp)."""
     excess = abs(lam.imag) - 700.0
     if excess <= 0.0:
         return values
@@ -213,10 +211,10 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
 
 
 def _start(lam: complex) -> tuple:
-    """The sweep of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k at `_capped(lam)`:
-    R_0 = F_0 (2 at lam = 0), (p, q), D_k by k & 3 and F_k / R_k by k & 3 (None: all 1).
-    Off the axes R_k = F_k, p = q = i lam and D_k = B_{k+1}; on them all are floats."""
-    near = _capped(lam)
+    """R_0 = F_0 (2 at lam = 0), (p, q) of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k,
+    D_k and F_k / R_k by k & 3 (None: all 1), for all three algorithms, with sin and cos taken
+    at |Im lam| capped at 700.  Off the axes R_k = F_k, p = q = i lam, D_k = B_{k+1}; on them, floats."""
+    near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
     sine, cosine, z = cmath.sin(near), cmath.cos(near), 1j * lam
     if not lam.real:  # lam = iy, or 0: z = -y and F_k are real
         y, drive = lam.imag, (2.0 * cosine.real, 2.0 * sine.imag)
@@ -233,7 +231,7 @@ def _turned(values: list, low: int, units) -> list[complex]:
 
 
 def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m), at `_capped(lam)`, by Olver's algorithm.
+    """F_low ... F_m (low <= m), at the capped lam of `_start`, by Olver's algorithm.
 
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  From
     k = m on it stops once |h_m ... h_k|, the factor by which the neglected
@@ -293,7 +291,7 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
 
 
 def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m), at `_capped(lam)`, by forward substitution from the exact
+    """F_low ... F_m (low <= m), at the capped lam of `_start`, by forward substitution from the exact
     F_0 and F_1: F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k),
     run on R_k (`_start`)."""
     f0, (p, q), drive, units = _start(lam)

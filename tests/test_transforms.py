@@ -324,12 +324,24 @@ def test_chebyshev_spike_and_kernel_points_match_exact_closed_form():
 
 
 def test_cancelled_closed_form_falls_to_recurrence_at_a_zero_of_j2():
-    # at this zero of J_2 the Chebyshev closed form of degree 16 sums terms 244
-    # times its two part-sums, and is off by 7.4e-13 relative
+    # at this zero of J_2 the Chebyshev closed form of degree 16 sums terms 340
+    # times the size of its two halves, and is off by 8.7e-13 relative
     lam = 21.116997053021844
     assert _closed_form(0, 16, lam)[1] > transforms._CANCEL_LIMIT
     reference = exact_real_closed_form(chebyshev_coeffs(16).coeffs, 16, lam)
     assert abs(chebyshev_hat(16, lam).value - reference) <= 1e-13 * abs(reference)
+
+
+@pytest.mark.parametrize("m, lam", [(30, -466.45038416572066), (128, -13696.236499706813)])
+def test_closed_form_serves_near_a_zero_of_f_on_the_real_axis(m, lam):
+    # Near a zero of F_m the closed form's halves e^{+-i lam} P, Q cancel each
+    # other (sum |t_n| / |F_m| is 1.9e3 and 6.8e3 here).  No algorithm avoids
+    # that loss, as all read the same rounded cos and sin, so the ratio leaves
+    # it out and the closed form serves: 1.8e-13 and 4.3e-13 relative, where
+    # forward substitution is off by 1.7e-12 and 2.0e-11.
+    assert _closed_form(0, m, lam)[1] <= transforms._CANCEL_LIMIT
+    reference = exact_real_closed_form(chebyshev_coeffs(m).coeffs, m, lam)
+    assert abs(chebyshev_hat(m, lam).value - reference) <= 1e-12 * abs(reference)
 
 
 @EACH_A
@@ -345,6 +357,26 @@ def test_zeros_of_bessel_j_match_exact_closed_form(a):
                     reference = exact_real_closed_form(coeffs, m, float(lam))
                     value = exp_cos_sine_integral(m + 1, -1j * float(lam)) if a == 2 else _sweep(a, m, float(lam), m)[0]
                     assert abs(value - reference) <= 1e-13 * (1 + abs(reference)), (a, m, order, lam)
+
+
+def test_kept_closed_form_values_keep_parity_conjugation_and_realness_exactly():
+    # F(-lam) = (-1)^m F(lam), F(conj lam) = conj F(-lam) and, at real lam,
+    # the realness of i^m F_m hold exactly wherever the closed form serves, on
+    # real, imaginary and random rays from its reach to 8 times it
+    rng = random.Random(20261032)
+    kept = 0
+    while kept < 10000:
+        a, m = rng.choice((0, 1, 2)), rng.randint(0, 120)
+        r = rng.choice((1, -1)) * max(1.0, m, m * m / 8) * 8 ** rng.random()
+        lam = rng.choice((complex(r), complex(0.0, r), cmath.rect(r, rng.uniform(-math.pi, math.pi))))
+        if abs(lam.imag) > 690 or not _closed_form(a, m, lam)[1] <= transforms._CANCEL_LIMIT:
+            continue
+        kept += 1
+        value, minus = _sweep(a, m, lam, m)[0], _sweep(a, m, -lam, m)[0]
+        assert minus == (-1) ** m * value, (a, m, lam)
+        assert _sweep(a, m, lam.conjugate(), m)[0] == minus.conjugate(), (a, m, lam)
+        if lam.imag == 0:
+            assert ((1, 1j, -1, -1j)[m % 4] * value).imag == 0.0, (a, m, lam)
 
 
 @EACH_A
@@ -415,19 +447,27 @@ def axis_points(seed, count=36):
 
 
 def test_axis_sweeps_are_real_up_to_the_unit_i_to_the_k(monkeypatch):
-    # on the axes the sweep runs in floats: F_k is real at lam = iy and
-    # i^k F_k at real lam, and each value comes back as a complex
-    ran = set()
+    # on the axes all three algorithms run in floats: F_k is real at lam = iy
+    # and i^k F_k at real lam, and each value comes back as a complex
+    ran, closed = set(), []
     for name in ("_recurrence", "_forward"):
         def recorded(a, m, lam, low, name=name, algorithm=getattr(transforms, name)):
             ran.add((name, lam.imag == 0))
             return algorithm(a, m, lam, low)
 
         monkeypatch.setattr(transforms, name, recorded)
+
+    def recorded_closed_form(a, m, lam, closed_form=transforms._closed_form):
+        ran.add(("_closed_form", lam.imag == 0))
+        closed.append(closed_form(a, m, lam))
+        return closed[-1]
+
+    monkeypatch.setattr(transforms, "_closed_form", recorded_closed_form)
     for a, m, lam in axis_points(20261028):
         # U_k/(k+1) at a = 2: its table is u_table(k) over k + 1
         reference = [exact_value(u_table(k), k, lam) / (k + 1) if a == 2 else exact_value(exact_ratio_table(a, k), k, lam)
                      for k in range(m + 2)]
+        closed.clear()
         for low in (m, 0):
             values = _sweep(a, m, lam, low)
             assert len(values) == m + 1 - low
@@ -437,7 +477,14 @@ def test_axis_sweeps_are_real_up_to_the_unit_i_to_the_k(monkeypatch):
                 # |F_k| < |F_{k+1}|/20 puts real lam near a zero of F_k (see above)
                 if abs(reference[k]) >= 0.05 * abs(reference[k + 1]):
                     assert abs(value - reference[k]) <= 1e-12 * abs(reference[k]), (a, k, lam)
-    assert ran == {(name, real) for name in ("_recurrence", "_forward") for real in (True, False)}
+        for value, ratio in closed:  # the closed form, tried for F_m alone, at the capped lam
+            assert type(value) is complex, (a, m, lam)
+            assert ((1, 1j, -1, -1j)[m % 4] * value if lam.imag == 0 else value).imag == 0.0, (a, m, lam, value)
+            if ratio <= transforms._CANCEL_LIMIT:
+                value = transforms._uncapped(lam, [value])[0]
+                assert abs(value - reference[m]) <= 1e-12 * abs(reference[m]), (a, m, lam)
+    algorithms = ("_recurrence", "_forward", "_closed_form")
+    assert ran == {(name, real) for name in algorithms for real in (True, False)}
 
 
 # ---------------------------------------------------------------------------
