@@ -9,10 +9,9 @@
 #
 # Three algorithms cover the complex plane, each where it is stable and
 # cheapest.  The explicit closed form serves where
-# $|\lambda| \ge \max(1, m, m^2/8)$ unless one of its halves
-# $e^{\pm i\lambda}(\dots)$ cancels: below about m^2/8 its terms outgrow the
-# result.  It is summed over the drive of the three-term recurrence in the
-# degree, whose forward substitution serves where $|\lambda| > m$ and the
+# $|\lambda| \ge \max(1, m, m^2/8)$ unless its part-sums cancel: below about
+# m^2/8 its terms outgrow the result.  Forward substitution in the
+# three-term recurrence in the degree serves where $|\lambda| > m$ and the
 # imaginary part is small ($m^2 |\mathrm{Im}\,\lambda| \le 2|\lambda|^2$),
 # in m rows.  Everywhere else, below
 # $|\lambda| = m$ in particular, the same recurrence is solved by Olver's

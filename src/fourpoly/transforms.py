@@ -17,7 +17,9 @@ p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
     r_n = c_{n+1}/c_n = -(m-n+1)(m+n-1+a)/(2n-1+a)
 
 over i lam.  Its terms grow until n ~ m^2/(2|lam|), so in doubles it cancels
-below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.
+below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  All
+three read e^{+-i lam}, sin and cos from `_start`, at |Im lam| capped at 700,
+and `_sweep` restores the rest (`_uncapped`); only values beyond doubles raise.
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -42,19 +44,14 @@ F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4) at F_0 (at a = 0,
 row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at F_1, so where the
 second is larger and |lam| > 1 the anchor is F_1.
 
-Each bracket of the closed form is a drive term, F_m = (-1)^m sum_n c_n
-(-i lam)^-n B_{n+m+1}, so all three algorithms read sin and cos, taken at
-|Im lam| capped at 700, from `_start`; `_sweep` restores the factor
-(`_uncapped`), so only a value beyond the double range overflows.
-
 On the axes all three run in floats, whose operations cost CPython about a
-third of complex ones.  At lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y
-and the drive (2 cosh y, 2 sinh y) are real, and so is every F_k.  At real
+third of complex ones.  At lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y, the
+drive (2 cosh y, 2 sinh y) and e^{-+y} are real, and so is every F_k.  At real
 lam = x, R_k = i^k F_k is real: R_k - x (alpha_k R_{k+1} + beta_k R_{k-1}) =
-d_k D_k, D_k = 2 cos x, 2 sin x, -2 cos x, -2 sin x by k mod 4.  Each map is
-a product with +-1 or +-i, and complex arithmetic rounds the part beside an
-exact zero as float arithmetic does, so the values equal the complex
-sweep's but for the sign of a zero part.
+d_k D_k, D_k = 2 cos x, 2 sin x, -2 cos x, -2 sin x by k mod 4, and the closed
+form sums the parts of its terms.  Each map is a product with +-1 or +-i, and
+complex arithmetic rounds the part beside an exact zero as float arithmetic
+does, so the values equal the complex sweep's but for the sign of a zero part.
 
 The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
 integration-by-parts route to the Chebyshev transform is, with x = cos w,
@@ -122,18 +119,15 @@ def zero_lambda_value(family: Family | str, m: int):
 # closed form
 # ---------------------------------------------------------------------------
 
-# Once the terms' size exceeds this multiple of the size of the two halves
-# (`_closed_form`), a half has cancelled too far for double accumulation: at
-# ratio 340 (T_16 at a zero of J_2) the closed form is off by 8.7e-13
+# Once sum |term| exceeds this multiple of |e^{i lam} P| + |e^{-i lam} Q|,
+# the part-sums P and Q have cancelled too far for double accumulation: at
+# ratio 244 (T_16 at a zero of J_2) the closed form is off by 7.4e-13
 # relative, the recurrence by 1.6e-14; `_sweep` then takes another algorithm.
-# The halves cancelling each other near a zero of F_m is left out: forward
-# substitution loses more there (2.0e-11 against 4.3e-13 at T_128, -13696.24).
 _CANCEL_LIMIT = 64.0
 
-# The closed form is tried only where |lam| >= max(1, m, m^2/_CLOSED_FORM_REACH):
-# at 4500 random points (a <= 2, m <= 1000, |Im lam| <= 700, |lam| log-uniform
-# from max(1, m, m^2/64) to 8 max(1, m, m^2/8)) it cancelled at all 2932
-# below that bound and served 1338 of the 1568 from it on.
+# The closed form is tried only where |lam| >= max(1, m, m^2/_CLOSED_FORM_REACH): at 4523
+# random points (|lam| >= max(1, m), m <= 1000, a <= 2) it cancelled at all
+# but 2 of the 1758 beyond, both with m^2 < 8.9 |lam|, and served 2260 of 2765.
 _CLOSED_FORM_REACH = 8.0
 
 # Forward substitution needs g = m^2 |Im lam|/|lam|^2 <= _FORWARD_GROWTH: at
@@ -158,28 +152,33 @@ def closed_form_ratios(a: int, m: int) -> tuple[tuple[int, int], ...]:
 
 
 def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
-    """Closed-form F_m and the cancellation ratio within its two halves.
-
-    On the q, drive and units of `_start`, F_m is R_m = sum_n t_n D_{(n+m) & 3}, t_n =
-    (-1)^m c_n (-q)^-n.  Off the axes D_k = e^{-i lam} + (-1)^k e^{i lam}, so R' = sum_n t_n
-    D_{(n+m+1) & 3} negates the e^{i lam} half, and |R_m| + |R'| is one to two times the halves'
-    size (on the real axis R_m, R' are twice the parts of one): the ratio (|D_0| + |D_1|) sum |t_n|
-    / (|R_m| + |R'|) leaves out the halves cancelling near a zero of F_m (`_CANCEL_LIMIT`).  On
-    the axes all terms are floats, so parity, conjugation and realness hold exactly.
-    """
-    _, (_, q), drive, units = _start(lam)
-    w = -1.0 / q
+    """F_m = e^{i lam} P + e^{-i lam} Q, P = sum c_n w^n, Q = sum (-1)^(n+m) c_n w^n, w = 1/(i lam),
+    and the cancellation ratio of its part-sums, with the capped e^{+-i lam} of `_start`."""
+    _, (_, q), drive, _, halves = _start(lam)
+    w = 1.0 / q
     if not w:  # 1/(i lam) rounded to 0: both parts of lam are near 1e308, and F_m ~ e^{|Im lam|} too
         raise OverflowError("closed form beyond the double range")
-    term = -1.0 if m % 2 else 1.0  # (-1)^m c_0 w^0, so that c_1 is the first ratio
-    total = other = magnitude = 0.0
-    for k, (num, den) in enumerate(closed_form_ratios(a, m), m + 1):
-        term *= num / den * w
-        total += term * drive[k & 3]
-        other += term * drive[(k + 1) & 3]
-        magnitude += abs(term)
-    scale = (abs(drive[0]) + abs(drive[1])) * magnitude
-    return _turned([total], m, units)[0], scale / (abs(total) + abs(other)) if total or other else math.inf
+    term, magnitude, sign = 1.0, 0.0, (1 if m % 2 else -1)  # c_0 w^0; (-1)^(n+m) at n = 1
+    if lam.imag:  # at lam = iy, w and every term are floats
+        plus = minus = 0.0
+        for num, den in closed_form_ratios(a, m):
+            term *= num / den * w
+            plus += term
+            minus += sign * term
+            magnitude += abs(term.real) + abs(term.imag)
+            sign = -sign
+    else:  # lam = x, w = -1/x: term is the real (n even) or imaginary (n odd) part of c_n (i w)^n
+        parts = [0.0, 0.0]
+        for n, (num, den) in enumerate(closed_form_ratios(a, m), 1):
+            term *= num / den * w
+            w = -w  # from i^n: the part's sign flips at each even n
+            parts[n & 1] += term
+            magnitude += abs(term)
+        plus, minus = complex(*parts), -sign * complex(parts[0], -parts[1])  # Q = (-1)^m conj P
+        halves = complex(drive[0] / 2, drive[1] / 2), complex(drive[0] / 2, -drive[1] / 2)  # cos x +- i sin x
+    plus, minus = halves[0] * plus, halves[1] * minus
+    kept = abs(plus) + abs(minus)
+    return complex(plus + minus), (abs(halves[0]) + abs(halves[1])) * magnitude / kept if kept else math.inf
 
 
 def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
@@ -212,17 +211,19 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
 
 def _start(lam: complex) -> tuple:
     """R_0 = F_0 (2 at lam = 0), (p, q) of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k,
-    D_k and F_k / R_k by k & 3 (None: all 1), for all three algorithms, with sin and cos taken
+    D_k and F_k / R_k by k & 3 (None: all 1) and e^{+-i lam} (None at real lam: D_0, D_1 give them),
     at |Im lam| capped at 700.  Off the axes R_k = F_k, p = q = i lam, D_k = B_{k+1}; on them, floats."""
     near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
     sine, cosine, z = cmath.sin(near), cmath.cos(near), 1j * lam
     if not lam.real:  # lam = iy, or 0: z = -y and F_k are real
         y, drive = lam.imag, (2.0 * cosine.real, 2.0 * sine.imag)
-        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4
+        halves = math.exp(-near.imag), math.exp(near.imag)
+        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4, halves
     if not lam.imag:  # lam = x: R_k = i^k F_k is real
         x, drive = lam.real, (2.0 * cosine.real, 2.0 * sine.real)
-        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j)
-    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None
+        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j), None
+    halves = cmath.exp(1j * near), cmath.exp(-1j * near)
+    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None, halves
 
 
 def _turned(values: list, low: int, units) -> list[complex]:
@@ -243,7 +244,7 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     (rounded once), and the elimination stops at row max(1, m).  On the
     axes the sweep runs on the R_k of `_start`.
     """
-    f, (p, q), drive, units = _start(lam)
+    f, (p, q), drive, units, _ = _start(lam)
     alam = abs(lam)
     tol = 1e-17 * min(1.0, alam)
     rows = _rows(a, 1 << (m + 64).bit_length())  # up to |lam| = 40 the stop comes by row m + 64
@@ -294,7 +295,7 @@ def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
     """F_low ... F_m (low <= m), at the capped lam of `_start`, by forward substitution from the exact
     F_0 and F_1: F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k),
     run on R_k (`_start`)."""
-    f0, (p, q), drive, units = _start(lam)
+    f0, (p, q), drive, units, _ = _start(lam)
     f1 = (f0 - drive[0]) / p
     rows = _rows(a, 1 << m.bit_length())
     swept = [f0, f1]

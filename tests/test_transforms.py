@@ -324,8 +324,8 @@ def test_chebyshev_spike_and_kernel_points_match_exact_closed_form():
 
 
 def test_cancelled_closed_form_falls_to_recurrence_at_a_zero_of_j2():
-    # at this zero of J_2 the Chebyshev closed form of degree 16 sums terms 340
-    # times the size of its two halves, and is off by 8.7e-13 relative
+    # at this zero of J_2 the Chebyshev closed form of degree 16 sums terms 244
+    # times its two part-sums, and is off by 7.4e-13 relative
     lam = 21.116997053021844
     assert _closed_form(0, 16, lam)[1] > transforms._CANCEL_LIMIT
     reference = exact_real_closed_form(chebyshev_coeffs(16).coeffs, 16, lam)
@@ -334,11 +334,11 @@ def test_cancelled_closed_form_falls_to_recurrence_at_a_zero_of_j2():
 
 @pytest.mark.parametrize("m, lam", [(30, -466.45038416572066), (128, -13696.236499706813)])
 def test_closed_form_serves_near_a_zero_of_f_on_the_real_axis(m, lam):
-    # Near a zero of F_m the closed form's halves e^{+-i lam} P, Q cancel each
-    # other (sum |t_n| / |F_m| is 1.9e3 and 6.8e3 here).  No algorithm avoids
-    # that loss, as all read the same rounded cos and sin, so the ratio leaves
-    # it out and the closed form serves: 1.8e-13 and 4.3e-13 relative, where
-    # forward substitution is off by 1.7e-12 and 2.0e-11.
+    # Near a zero of F_m the closed form's halves e^{i lam} P and e^{-i lam} Q
+    # cancel each other (sum |c_n w^n (e^{i lam} +- e^{-i lam})| / |F_m| is
+    # 1.9e3 and 6.8e3 here), but P and Q do not (ratios 3.2 and 2.3), and the
+    # closed form serves: 7.7e-14 and 1.7e-13 relative, where forward
+    # substitution is off by 1.7e-12 and 2.0e-11.
     assert _closed_form(0, m, lam)[1] <= transforms._CANCEL_LIMIT
     reference = exact_real_closed_form(chebyshev_coeffs(m).coeffs, m, lam)
     assert abs(chebyshev_hat(m, lam).value - reference) <= 1e-12 * abs(reference)
