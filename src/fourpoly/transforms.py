@@ -154,7 +154,7 @@ def closed_form_ratios(a: int, m: int) -> tuple[tuple[int, int], ...]:
 def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     """F_m = e^{i lam} P + e^{-i lam} Q, P = sum c_n w^n, Q = sum (-1)^(n+m) c_n w^n, w = 1/(i lam),
     and the cancellation ratio of its part-sums, with the capped e^{+-i lam} of `_start`."""
-    _, (_, q), drive, _, halves = _start(lam)
+    _, (_, q), _, _, halves = _start(lam)
     w = 1.0 / q
     if not w:  # 1/(i lam) rounded to 0: both parts of lam are near 1e308, and F_m ~ e^{|Im lam|} too
         raise OverflowError("closed form beyond the double range")
@@ -175,7 +175,6 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
             parts[n & 1] += term
             magnitude += abs(term)
         plus, minus = complex(*parts), -sign * complex(parts[0], -parts[1])  # Q = (-1)^m conj P
-        halves = complex(drive[0] / 2, drive[1] / 2), complex(drive[0] / 2, -drive[1] / 2)  # cos x +- i sin x
     plus, minus = halves[0] * plus, halves[1] * minus
     kept = abs(plus) + abs(minus)
     return complex(plus + minus), (abs(halves[0]) + abs(halves[1])) * magnitude / kept if kept else math.inf
@@ -211,7 +210,7 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
 
 def _start(lam: complex) -> tuple:
     """R_0 = F_0 (2 at lam = 0), (p, q) of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k,
-    D_k and F_k / R_k by k & 3 (None: all 1) and e^{+-i lam} (None at real lam: D_0, D_1 give them),
+    D_k and F_k / R_k by k & 3 (None: all 1) and e^{+-i lam} (floats at lam = iy),
     at |Im lam| capped at 700.  Off the axes R_k = F_k, p = q = i lam, D_k = B_{k+1}; on them, floats."""
     near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
     sine, cosine, z = cmath.sin(near), cmath.cos(near), 1j * lam
@@ -221,7 +220,8 @@ def _start(lam: complex) -> tuple:
         return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4, halves
     if not lam.imag:  # lam = x: R_k = i^k F_k is real
         x, drive = lam.real, (2.0 * cosine.real, 2.0 * sine.real)
-        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j), None
+        halves = complex(cosine.real, sine.real), complex(cosine.real, -sine.real)
+        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j), halves
     halves = cmath.exp(1j * near), cmath.exp(-1j * near)
     return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None, halves
 

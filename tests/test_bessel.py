@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fourpoly import bessel
+from fourpoly import bessel, transforms
 from fourpoly.bessel import bessel_half
 from fourpoly.checks import run_check
 from fourpoly.transforms import legendre_hat
@@ -73,3 +73,17 @@ def test_values_beyond_double_range_raise_overflow_error():
     assert cmath.isfinite(legendre_hat(0, 715j).value)  # 4.6e307
     reference = 4.7404099397002216e307 * (1 + 1j)  # 30-digit mpmath besselj(0.5, 713j)
     assert abs(bessel_half(0, 713j) - reference) <= 1e-13 * abs(reference)
+
+
+def test_values_come_from_one_sweep_under_one_check(monkeypatch):
+    # `bessel_half` sweeps the Legendre transform itself: at 0, on both axes,
+    # off them and beyond |Im lam| = 700 it never calls the public transform
+    points = [(0, 0j), (4, 0j), (3, 2.5), (20, 30.0), (7, -12.0), (10, 4j), (5, -60j),
+              (3, 2.5 + 1j), (30, -40 + 25j), (2, 705j)]
+    expected = [bessel_half(m, lam) for m, lam in points]
+
+    def public(family, m, lam):
+        raise AssertionError(f"transform_hat called at m={m}, lam={lam}")
+
+    monkeypatch.setattr(transforms, "transform_hat", public)
+    assert [bessel_half(m, lam) for m, lam in points] == expected

@@ -548,11 +548,18 @@ def legendre_bessel_reference(m, lam):
     Above |lam| = m, mpmath sums J's Hankel expansion, which for half-integer
     order ends after m + 1 terms, only with more than m bits of precision;
     with fewer it falls back to the power series, which takes seconds at
-    |lam| ~ 8000, |Im lam| ~ 600."""
+    |lam| ~ 8000, |Im lam| ~ 600.  The unit (-i)^m is read from a table: above
+    m = 100, CPython takes (-1j) ** m in polar form, 1.6e-13 off at m = 1000.
+    On the exact negative real axis this reference has the wrong sign."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(max(100, m + 50) if abs(lam) > m else 100):
         z = mpmath.mpc(lam.real, lam.imag)
-        return complex(2 * (-1j) ** m * mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(m + 0.5, z))
+        return complex(2 * (1, -1j, -1, 1j)[m % 4] * mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(m + 0.5, z))
+
+
+def test_bessel_reference_takes_its_unit_exactly_at_degree_1000():
+    reference = exact_value(legendre_coeffs(1000).coeffs, 1000, 20000 + 0j)
+    assert abs(legendre_bessel_reference(1000, 20000.0) - reference) <= 1e-15 * abs(reference)
 
 
 def dispatch_points(seed, count=150):
@@ -571,9 +578,19 @@ def dispatch_points(seed, count=150):
     return points
 
 
+def far_degree_points(seed, count=8):
+    """Legendre m = 2000 and 4000, `count` points each: |lam| log-uniform in
+    [1.05m, 50m], by turns on the positive real axis and on the ray at angle
+    pi - 1e-3."""
+    rng = random.Random(seed)
+    return [(Family.LEGENDRE, m, cmath.rect(math.exp(rng.uniform(math.log(1.05 * m), math.log(50 * m))),
+                                            (0.0, math.pi - 1e-3)[k % 2]))
+            for m in (2000, 4000) for k in range(count)]
+
+
 def test_each_algorithm_meets_1e_12_from_half_to_fifty_times_the_degree():
     checked = 0
-    for family, m, lam in dispatch_points(20261019):
+    for family, m, lam in dispatch_points(20261019) + far_degree_points(20261033):
         if family is Family.LEGENDRE:
             reference = legendre_bessel_reference(m, lam)
         else:
@@ -587,7 +604,7 @@ def test_each_algorithm_meets_1e_12_from_half_to_fifty_times_the_degree():
         value = transform_hat(family, m, lam).value
         assert abs(value - reference) <= 1e-12 * abs(reference), (family, m, lam)
         checked += 1
-    assert checked >= 140
+    assert checked >= 155
 
 
 def test_closed_form_and_forward_substitution_serve_far_above_the_degree(monkeypatch):
