@@ -188,11 +188,10 @@ class NeumannExpansion(namedtuple("NeumannExpansion", "coefficients")):
         return np.polynomial.legendre.legval(y, self.coefficients)
 
 
-class SolveReport(
-    namedtuple("SolveReport", "basis_size point_count e_inf cond residual_norm seconds rank")
-):
-    """One solve; `cond`, `residual_norm` and `rank` refer to the real
-    2M x N system that `solve` hands lstsq, and `csv_row` omits `rank`."""
+class SolveReport(namedtuple("SolveReport", "basis_size point_count e_inf cond residual_norm seconds rank "
+                             "assembly_s scale_s lstsq_s error_s")):
+    """One solve; `cond`, `residual_norm` and `rank` refer to the real 2M x N system that
+    `solve` hands lstsq, the four stage times (s) sum to `seconds`, and `csv_row` omits both."""
 
     __slots__ = ()
 
@@ -221,8 +220,11 @@ def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport
     """
     if point_count < max(1, -(-n_basis // 2)):
         raise ValueError("need at least ceil(N/2) collocation points")
-    start = time.perf_counter()
-    scaled, col_norms = scale_system(assemble_system(n_basis, collocation_points(point_count)))
+    ticks = [time.perf_counter()]  # then the end of each stage
+    system = assemble_system(n_basis, collocation_points(point_count))
+    ticks.append(time.perf_counter())
+    scaled, col_norms = scale_system(system)
+    ticks.append(time.perf_counter())
     matrix = np.concatenate((scaled.matrix.real, scaled.matrix.imag))
     rhs = np.concatenate((scaled.rhs.real, scaled.rhs.imag))
     scaled_solution, _, rank, singular_values = np.linalg.lstsq(matrix, rhs, rcond=None)
@@ -233,13 +235,17 @@ def solve(n_basis: int, point_count: int) -> tuple[NeumannExpansion, SolveReport
         # an under-resolved (e.g. M = N/2) system, which is still allowed to run
         warnings.warn(f"cond * residual is {cond * residual:.2e}: the system is under-resolved", stacklevel=2)
     expansion = NeumannExpansion(scaled_solution / col_norms)
+    ticks.append(time.perf_counter())
+    e_inf = relative_error_einf(expansion)
+    ticks.append(time.perf_counter())
     report = SolveReport(
         basis_size=n_basis,
         point_count=point_count,
-        e_inf=relative_error_einf(expansion),
+        e_inf=e_inf,
         cond=cond,
         residual_norm=residual,
-        seconds=time.perf_counter() - start,
+        seconds=ticks[-1] - ticks[0],
         rank=int(rank),
+        **dict(zip(("assembly_s", "scale_s", "lstsq_s", "error_s"), (b - a for a, b in zip(ticks, ticks[1:])))),
     )
     return expansion, report

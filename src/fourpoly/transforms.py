@@ -38,7 +38,10 @@ p_1 = x, give F_m by forward substitution (W. Gautschi, SIAM Rev. 9, 1967).
 Once k > |lam| the other solutions grow factorially and F_k does not, so it
 is computed by Olver's algorithm (F. W. J. Olver, J. Res. NBS 71B, 1967):
 forward elimination from an exact anchor, then back substitution from a
-truncation point chosen by the algorithm's own error estimate.  An anchor
+truncation point chosen by the algorithm's own error estimate.  At a = 1
+(d_k = 0) the recurrence is homogeneous: where F_k decays from k = m on, as
+at |lam| <= m or g = m^2 |Im lam|/|lam|^2 > 2, the neglected F_{k+1} is about
+the estimate times F_m, so the error of F_m is its square.  An anchor
 where the minimal solution is small loses F_m (Legendre at lam = n pi, where
 F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4) at F_0 (at a = 0,
 row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at F_1, so where the
@@ -237,16 +240,19 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  From
     k = m on it stops once |h_m ... h_k|, the factor by which the neglected
     F_{k+1} still reaches F_m, is below 1e-17 * min(1, |lam|); the min covers
-    the Chebyshev F_{k+1}, up to F_m/|lam| for small lam.  No k >= |lam| wait
-    is needed: near the real axis |h_k| stays near 1 until k passes |lam|.
-    Back substitution from F_{k+1} = 0 then yields F_m and every lower degree.
+    the Chebyshev F_{k+1}, up to F_m/|lam| for small lam.  Legendre stops below
+    1e-17 ** 0.5, as its error is the estimate squared where F_k decays from
+    k = m on (module docstring): wherever `_sweep` calls this, not on the real
+    axis beyond the degree.  No k >= |lam| wait is needed: near the real axis
+    |h_k| stays near 1 until k passes |lam|.  Back substitution from F_{k+1} = 0
+    then yields F_m and every lower degree.
     At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly
     (rounded once), and the elimination stops at row max(1, m).  On the
     axes the sweep runs on the R_k of `_start`.
     """
     f, (p, q), drive, units, _ = _start(lam)
     alam = abs(lam)
-    tol = 1e-17 * min(1.0, alam)
+    tol = 1e-17 ** 0.5 if a == 1 else 1e-17 * min(1.0, alam)
     rows = _rows(a, 1 << (m + 64).bit_length())  # up to |lam| = 40 the stop comes by row m + 64
     folded = complex(abs(lam.real), abs(lam.imag))  # the same anchor at lam, -lam and conj(lam)
     g, h, start = f, 0.0, 1  # the anchor (module docstring): F_0, or row 1 is F_1 = g_1 with h_1 = 0
@@ -328,7 +334,7 @@ def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) 
     (and, if asked, nonzero) complex argument `name`.  A result that is not
     finite raises an `OverflowError` naming `quantity`, m and arg; so does an
     `OverflowError` raised on the way, by an inner entry point or by math or
-    cmath, as `_uncapped`'s ldexp does for a product beyond the double range)."""
+    cmath, as `_uncapped`'s ldexp does for a product beyond the double range."""
     m, arg = as_degree(m), complex(arg)
     if not cmath.isfinite(arg):
         raise ValueError(f"{name} must be finite")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -534,6 +535,33 @@ def test_reconstruct_matches_direct_legendre_sum():
 def test_empty_expansion_reconstructs_to_zeros():
     y = np.linspace(-1, 1, 5)
     assert np.array_equal(NeumannExpansion(np.zeros(0)).reconstruct(y), np.zeros(5))
+
+
+# each stage time of a solve report and the function that stage calls
+STAGES = {
+    "assembly_s": "assemble_system",
+    "scale_s": "scale_system",
+    "lstsq_s": "lstsq",
+    "error_s": "relative_error_einf",
+}
+
+
+@pytest.mark.parametrize("field", STAGES)
+def test_report_times_each_stage_within_the_total(monkeypatch, field):
+    # a stage held up by 20 ms shows in its own field; the four sum to `seconds`
+    owner = np.linalg if STAGES[field] == "lstsq" else helmholtz
+    stage = getattr(owner, STAGES[field])
+
+    def held(*args, **kwargs):
+        time.sleep(0.02)
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(owner, STAGES[field], held)
+    _, report = solve(8, 16)
+    times = [getattr(report, name) for name in STAGES]
+    assert all(t >= 0.0 for t in times), times
+    assert getattr(report, field) >= 0.02, times
+    assert sum(times) <= report.seconds, (times, report.seconds)
 
 
 def test_report_csv_row_format():

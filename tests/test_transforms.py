@@ -704,6 +704,36 @@ def test_olver_stops_on_its_estimate_far_off_the_real_axis(row_use, m, lam, low)
         assert abs(value - reference) <= 1e-12 * abs(reference), k
 
 
+@pytest.mark.parametrize("m, lam, low, rows", [
+    (40, 300j, 40, 115),
+    (63, 500j, 0, 153),
+    (20, 22 + 3j, 20, 43),
+    (127, 1j * (64.5 + 1 / 64.5), 0, 140),  # the z2 and z1 sweeps of assembly at lam = 64.5
+    (127, 64.5 - 1 / 64.5, 0, 141),
+    (100, -867.5701359160083 - 222.76020289208972j, 0, 379),  # g = m^2 |Im lam|/|lam|^2 = 2.8
+])
+def test_legendre_olver_stops_on_the_square_of_its_estimate(row_use, m, lam, low, rows):
+    # d_k = 0 makes the Legendre recurrence homogeneous, so where F_k decays
+    # from k = m on, the neglected F_{k+1} is about |h_m ... h_k| F_m and the
+    # error of F_m is that estimate squared: it stops once the square is below 1e-17
+    _, read = row_use
+    values = _sweep(1, m, lam, low)
+    assert max(read) <= rows
+    references = [legendre_bessel_reference(k, lam) for k in range(low, m + 2)]
+    for k, value, reference, above in zip(range(low, m + 1), values, references, references[1:]):
+        if abs(reference) < 0.05 * abs(above):  # near a zero of F_k, as in the 1e-12 test above
+            continue
+        assert abs(value - reference) <= 1e-12 * abs(reference), k
+
+
+@pytest.mark.parametrize("a, m, lam, rows", [(0, 40, 39.5, 81), (2, 40, 30j, 69)], ids=["chebyshev", "U"])
+def test_chebyshev_and_u_olver_keep_their_stop(row_use, a, m, lam, rows):
+    # their drive keeps the neglected F_{k+1} near F_m, so the estimate itself must fall below 1e-17
+    _, read = row_use
+    _sweep(a, m, lam, m)
+    assert max(read) == rows
+
+
 @pytest.mark.parametrize("call, overflow", [
     (lambda: _sweep(1, 127, 700j, 0), None),
     (lambda: _sweep(1, 63, 500j, 0), None),
