@@ -244,10 +244,10 @@ def _worst(name: str, max_m: int, hat: Hat) -> CheckResult:
 
 def run_check(name: str, max_m: int) -> CheckResult:
     """Worst residual of one check over m <= max_m, where it occurred, and the check's tolerance."""
-    return _worst(name, max_m, _memo_hat())
+    return _worst(name, coeffs.as_degree(max_m), _memo_hat())
 
 
 def run_checks(max_m: int) -> list[CheckResult]:
     """Every check in registry order, sharing one transform memo."""
-    hat = _memo_hat()
+    max_m, hat = coeffs.as_degree(max_m), _memo_hat()
     return [_worst(name, max_m, hat) for name in CHECKS]

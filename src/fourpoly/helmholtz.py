@@ -129,16 +129,17 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
     z2 sin z2 D^(z1) at the point's frequencies z1, z2; the relation at the
     other turned point is the conjugate of row r at conj(lam).  The callback
     `dirichlet` maps a frequency mu to the boundary transform D^(mu) of real
-    data; the default is the fixed symmetric problem above.  A point whose
-    row or right-hand side leaves the double range raises `OverflowError`.
+    data; the default is the fixed symmetric problem above.  A zero or
+    non-finite point raises `ValueError`, before any work; a finite point
+    whose row or right-hand side leaves the double range, `OverflowError`.
     """
     points = [complex(p) for p in points]
     if n_basis < 1:
         raise ValueError("need at least one basis function")
     if not points:
         raise ValueError("need at least one collocation point")
-    if any(p == 0 for p in points):
-        raise ValueError("collocation points must be nonzero")
+    if not all(p and cmath.isfinite(p) for p in points):
+        raise ValueError("collocation points must be finite and nonzero")
     rows = np.zeros((len(points), n_basis), dtype=complex)
     rhs = np.zeros(len(points), dtype=complex)
     for r, lam in enumerate(points):

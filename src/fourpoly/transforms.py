@@ -18,8 +18,8 @@ p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
 
 over i lam.  Its terms grow until n ~ m^2/(2|lam|), so in doubles it cancels
 below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  All
-three read e^{+-i lam}, sin and cos from `_start`, at |Im lam| capped at 700,
-and `_sweep` restores the rest (`_uncapped`); only values beyond doubles raise.
+three work at the lam of `_start`, |Im lam| capped at 700, and `_sweep`
+restores the rest (`_uncapped`); only values beyond doubles raise.
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -47,14 +47,14 @@ F_0 = 0).  That solution goes like sin(lam - (a-1) pi/4) at F_0 (at a = 0,
 row 1 of the recurrence) and like cos(lam - (a-1) pi/4) at F_1, so where the
 second is larger and |lam| > 1 the anchor is F_1.
 
-On the axes all three run in floats, whose operations cost CPython about a
-third of complex ones.  At lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y, the
-drive (2 cosh y, 2 sinh y) and e^{-+y} are real, and so is every F_k.  At real
-lam = x, R_k = i^k F_k is real: R_k - x (alpha_k R_{k+1} + beta_k R_{k-1}) =
-d_k D_k, D_k = 2 cos x, 2 sin x, -2 cos x, -2 sin x by k mod 4, and the closed
-form sums the parts of its terms.  Each map is a product with +-1 or +-i, and
-complex arithmetic rounds the part beside an exact zero as float arithmetic
-does, so the values equal the complex sweep's but for the sign of a zero part.
+Both sweeps run in floats on the axes, as CPython's float operations cost
+about a third of complex ones; the closed form is complex for every lam.  At
+lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y and the drive (2 cosh y,
+2 sinh y) are real, and so is every F_k.  At real lam = x, R_k = i^k F_k is
+real: R_k - x (alpha_k R_{k+1} + beta_k R_{k-1}) = d_k D_k, D_k = 2 cos x,
+2 sin x, -2 cos x, -2 sin x by k mod 4.  Each map is a product with +-1 or
++-i, and complex arithmetic rounds the part beside an exact zero as float
+arithmetic does: the values equal the complex sweep's but for zero signs.
 
 The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
 integration-by-parts route to the Chebyshev transform is, with x = cos w,
@@ -156,31 +156,23 @@ def closed_form_ratios(a: int, m: int) -> tuple[tuple[int, int], ...]:
 
 def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     """F_m = e^{i lam} P + e^{-i lam} Q, P = sum c_n w^n, Q = sum (-1)^(n+m) c_n w^n, w = 1/(i lam),
-    and the cancellation ratio of its part-sums, with the capped e^{+-i lam} of `_start`."""
-    _, (_, q), _, _, halves = _start(lam)
-    w = 1.0 / q
+    and the cancellation ratio of its part-sums, with e^{+-i lam} at the capped lam of `_start`."""
+    near = _start(lam)[4]
+    w = 1.0 / (1j * lam)
     if not w:  # 1/(i lam) rounded to 0: both parts of lam are near 1e308, and F_m ~ e^{|Im lam|} too
         raise OverflowError("closed form beyond the double range")
     term, magnitude, sign = 1.0, 0.0, (1 if m % 2 else -1)  # c_0 w^0; (-1)^(n+m) at n = 1
-    if lam.imag:  # at lam = iy, w and every term are floats
-        plus = minus = 0.0
-        for num, den in closed_form_ratios(a, m):
-            term *= num / den * w
-            plus += term
-            minus += sign * term
-            magnitude += abs(term.real) + abs(term.imag)
-            sign = -sign
-    else:  # lam = x, w = -1/x: term is the real (n even) or imaginary (n odd) part of c_n (i w)^n
-        parts = [0.0, 0.0]
-        for n, (num, den) in enumerate(closed_form_ratios(a, m), 1):
-            term *= num / den * w
-            w = -w  # from i^n: the part's sign flips at each even n
-            parts[n & 1] += term
-            magnitude += abs(term)
-        plus, minus = complex(*parts), -sign * complex(parts[0], -parts[1])  # Q = (-1)^m conj P
-    plus, minus = halves[0] * plus, halves[1] * minus
+    plus = minus = 0j
+    for num, den in closed_form_ratios(a, m):
+        term *= num / den * w
+        plus += term
+        minus += sign * term
+        magnitude += abs(term.real) + abs(term.imag)
+        sign = -sign
+    e_plus, e_minus = cmath.exp(1j * near), cmath.exp(-1j * near)
+    plus, minus = e_plus * plus, e_minus * minus
     kept = abs(plus) + abs(minus)
-    return complex(plus + minus), (abs(halves[0]) + abs(halves[1])) * magnitude / kept if kept else math.inf
+    return plus + minus, (abs(e_plus) + abs(e_minus)) * magnitude / kept if kept else math.inf
 
 
 def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
@@ -213,20 +205,17 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
 
 def _start(lam: complex) -> tuple:
     """R_0 = F_0 (2 at lam = 0), (p, q) of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k,
-    D_k and F_k / R_k by k & 3 (None: all 1) and e^{+-i lam} (floats at lam = iy),
-    at |Im lam| capped at 700.  Off the axes R_k = F_k, p = q = i lam, D_k = B_{k+1}; on them, floats."""
+    D_k and F_k / R_k by k & 3 (None: all 1), all at near, lam with |Im lam| capped at 700, and near.
+    Off the axes R_k = F_k, p = q = i lam, D_k = B_{k+1}; on them, floats."""
     near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
     sine, cosine, z = cmath.sin(near), cmath.cos(near), 1j * lam
     if not lam.real:  # lam = iy, or 0: z = -y and F_k are real
         y, drive = lam.imag, (2.0 * cosine.real, 2.0 * sine.imag)
-        halves = math.exp(-near.imag), math.exp(near.imag)
-        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4, halves
+        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4, near
     if not lam.imag:  # lam = x: R_k = i^k F_k is real
         x, drive = lam.real, (2.0 * cosine.real, 2.0 * sine.real)
-        halves = complex(cosine.real, sine.real), complex(cosine.real, -sine.real)
-        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j), halves
-    halves = cmath.exp(1j * near), cmath.exp(-1j * near)
-    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None, halves
+        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j), near
+    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None, near
 
 
 def _turned(values: list, low: int, units) -> list[complex]:
@@ -329,17 +318,15 @@ def _sweep(a: int, m: int, lam: complex, low: int) -> list[complex]:
     return _uncapped(lam, values)
 
 
-def _checked(quantity: str, m, name: str, arg, evaluate, nonzero: bool = False) -> complex:
+def _checked(quantity: str, m, name: str, arg, evaluate) -> complex:
     """evaluate(m, arg) for an entry point called with degree m and a finite
-    (and, if asked, nonzero) complex argument `name`.  A result that is not
-    finite raises an `OverflowError` naming `quantity`, m and arg; so does an
-    `OverflowError` raised on the way, by an inner entry point or by math or
-    cmath, as `_uncapped`'s ldexp does for a product beyond the double range."""
+    complex argument `name`.  A result that is not finite raises an
+    `OverflowError` naming `quantity`, m and arg; so does an `OverflowError`
+    raised on the way, by an inner entry point or by math or cmath, as
+    `_uncapped`'s ldexp does for a product beyond the double range."""
     m, arg = as_degree(m), complex(arg)
     if not cmath.isfinite(arg):
         raise ValueError(f"{name} must be finite")
-    if nonzero and arg == 0:
-        raise ValueError(f"{quantity} requires {name} != 0")
     try:
         value = evaluate(m, arg)
     except OverflowError:
@@ -383,6 +370,8 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
 
 
 def _via_kernel(m: int, lam: complex) -> complex:
+    if not lam:
+        raise ValueError("kernel route requires lam != 0")
     sign = -1.0 if m % 2 else 1.0
     kernel = exp_cos_sine_integral(m, -1j * lam)
     # e^{+-i lam} and m * kernel may overflow before the division: divide first
@@ -396,4 +385,4 @@ def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
     Uses the U_{m-1} ratios, not the Chebyshev ones; used to cross-check
     `chebyshev_hat` on the closed-form regime.
     """
-    return _checked("kernel route", m, "lam", lam, _via_kernel, nonzero=True)
+    return _checked("kernel route", m, "lam", lam, _via_kernel)

@@ -110,6 +110,26 @@ def test_eval_at_degree_160_where_the_closed_form_overflows(capsys):
     assert parse_complex(value_text) == transforms.legendre_hat(160, 161.0).value
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["eval", "--family", "legendre", "--m", "400", "--lambda=0-712i"], "3.9664432680712416e+258+0i ClosedForm"),
+    (["eval", "--family", "legendre", "--m", "1000", "--lambda=20000"], "4.9601758259307599e-05+0i ClosedForm"),
+    (["eval", "--family", "legendre", "--m", "20", "--lambda=60"], "0.02222491792804655+0i ClosedForm"),
+    (["eval", "--family", "legendre", "--m", "20", "--lambda=0+120i"], "1.8828922012198369e+49+0i ClosedForm"),
+    (["eval", "--family", "legendre", "--m", "20", "--lambda=22+3i"],
+     "0.20795979505640688+0.092779282235190413i ClosedForm"),
+    (["eval", "--family", "chebyshev", "--m", "5", "--lambda=7"], "0-0.72367601280416805i ClosedForm"),
+    (["bessel", "--m", "1", "--lambda=1+0i"], "0.24029783912342698+0i"),
+    (["bessel", "--m", "20", "--lambda=30+0i"], "-0.064292512919191275+0i"),
+    (["bessel", "--m", "20", "--lambda=22+3i"], "0.3782250449238817+0.20048107061259943i"),
+], ids=["olver-712i", "forward-20000", "closed-60", "closed-120i", "olver-22+3i", "chebyshev-zero-sign",
+        "bessel-closed-1", "bessel-forward-30", "bessel-olver-22+3i"])
+def test_eval_and_bessel_print_exact_text(argv, text, capsys):
+    # the same strings as the numpy-free CI job; the chebyshev case pins the sign of an exact zero part
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == text + "\n"
+
+
 def test_eval_parse_failure(capsys):
     code, _, err = run(capsys, "eval", "--family", "legendre", "--m", "1", "--lambda", "nope")
     assert code == 2
@@ -189,6 +209,14 @@ def test_verify_fails_on_nan_residual(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-m", "3")
     assert code == 1
     assert "FAIL oracle_agreement: max residual inf at" in out
+
+
+def test_run_check_rejects_a_negative_degree():
+    # m <= -5 covers no degree, so the check would read a vacuous pass
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        checks.run_check("oracle_agreement", -5)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        checks.run_checks(-1)
 
 
 @pytest.mark.parametrize("max_m", [3, 20])

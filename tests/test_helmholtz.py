@@ -349,6 +349,16 @@ def test_assemble_rejects_zero_point():
         assemble_system(2, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.nan, math.inf)])
+def test_assemble_rejects_non_finite_point_as_bad_input(bad):
+    # a bad point, not a value beyond the double range: rejected before any row is swept
+    def dirichlet(mu):
+        raise AssertionError("no work before the points are checked")
+
+    with pytest.raises(ValueError, match="collocation points must be finite and nonzero"):
+        assemble_system(3, [1.0, bad], dirichlet=dirichlet)
+
+
 def test_assemble_rejects_empty_basis_or_points():
     with pytest.raises(ValueError):
         assemble_system(0, [1.0])

@@ -447,8 +447,9 @@ def axis_points(seed, count=36):
 
 
 def test_axis_sweeps_are_real_up_to_the_unit_i_to_the_k(monkeypatch):
-    # on the axes all three algorithms run in floats: F_k is real at lam = iy
-    # and i^k F_k at real lam, and each value comes back as a complex
+    # on the axes both sweeps run in floats and the closed form in complex
+    # arithmetic: F_k is real at lam = iy and i^k F_k at real lam, exactly for
+    # all three algorithms, and each value comes back as a complex
     ran, closed = set(), []
     for name in ("_recurrence", "_forward"):
         def recorded(a, m, lam, low, name=name, algorithm=getattr(transforms, name)):
@@ -885,8 +886,9 @@ def test_kernel_route_examples():
     reference = quad_transform("chebyshev", 4, lam)
     assert abs(via - forced) <= 1e-9 * abs(reference)
     assert abs(via - reference) <= 1e-9 * (1 + abs(reference))
-    with pytest.raises(ValueError):
-        chebyshev_hat_via_kernel(2, 0.0)
+    for zero in (0.0, -0.0j):
+        with pytest.raises(ValueError, match=r"kernel route requires lam != 0"):
+            chebyshev_hat_via_kernel(2, zero)
 
 
 def test_exponential_overflow_raises_range_error():
