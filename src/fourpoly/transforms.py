@@ -18,8 +18,8 @@ p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
 
 over i lam.  Its terms grow until n ~ m^2/(2|lam|), so in doubles it cancels
 below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  All
-three work at the lam of `_start`, |Im lam| capped at 700, and `_sweep`
-restores the rest (`_uncapped`); only values beyond doubles raise.
+three work at `_capped(lam)`, |Im lam| capped at 700, and `_sweep` restores
+the rest (`_uncapped`); only values beyond doubles raise.
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -61,7 +61,7 @@ integration-by-parts route to the Chebyshev transform is, with x = cos w,
 the transform of U_{m-1}, the Chebyshev polynomial of the second kind, at
 lam = iz: m times F_{m-1} at a = 2.  It runs through the same three
 algorithms and dispatch; its ratios come from the derivatives of U_k at
-x = 1, so the route checks the T_m ratios against an independent identity.
+x = 1, so the route (check `kernel_route`) tests the T_m ratios independently.
 """
 from __future__ import annotations
 
@@ -81,7 +81,6 @@ __all__ = [
     "legendre_hat",
     "transform_hat",
     "exp_cos_sine_integral",
-    "chebyshev_hat_via_kernel",
 ]
 
 
@@ -156,8 +155,8 @@ def closed_form_ratios(a: int, m: int) -> tuple[tuple[int, int], ...]:
 
 def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     """F_m = e^{i lam} P + e^{-i lam} Q, P = sum c_n w^n, Q = sum (-1)^(n+m) c_n w^n, w = 1/(i lam),
-    and the cancellation ratio of its part-sums, with e^{+-i lam} at the capped lam of `_start`."""
-    near = _start(lam)[4]
+    and the cancellation ratio of its part-sums, with e^{+-i lam} at `_capped(lam)`."""
+    near = _capped(lam)
     w = 1.0 / (1j * lam)
     if not w:  # 1/(i lam) rounded to 0: both parts of lam are near 1e308, and F_m ~ e^{|Im lam|} too
         raise OverflowError("closed form beyond the double range")
@@ -175,8 +174,13 @@ def _closed_form(a: int, m: int, lam: complex) -> tuple[complex, float]:
     return plus + minus, (abs(e_plus) + abs(e_minus)) * magnitude / kept if kept else math.inf
 
 
+def _capped(lam: complex) -> complex:
+    """lam with |Im lam| capped at 700, where all three algorithms work."""
+    return complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
+
+
 def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
-    """values, taken at the capped lam of `_start`, times e^{|Im lam| - 700} as
+    """values, taken at `_capped(lam)`, times e^{|Im lam| - 700} as
     e^r 2^k with r < ln 2: the factor, which overflows from |Im lam| = 1409.78
     on, is never formed, so only a product beyond the double range raises (ldexp)."""
     excess = abs(lam.imag) - 700.0
@@ -205,17 +209,17 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
 
 def _start(lam: complex) -> tuple:
     """R_0 = F_0 (2 at lam = 0), (p, q) of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k,
-    D_k and F_k / R_k by k & 3 (None: all 1), all at near, lam with |Im lam| capped at 700, and near.
+    D_k and F_k / R_k by k & 3 (None: all 1), all at `_capped(lam)`.
     Off the axes R_k = F_k, p = q = i lam, D_k = B_{k+1}; on them, floats."""
-    near = complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
+    near = _capped(lam)
     sine, cosine, z = cmath.sin(near), cmath.cos(near), 1j * lam
     if not lam.real:  # lam = iy, or 0: z = -y and F_k are real
         y, drive = lam.imag, (2.0 * cosine.real, 2.0 * sine.imag)
-        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4, near
+        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4
     if not lam.imag:  # lam = x: R_k = i^k F_k is real
         x, drive = lam.real, (2.0 * cosine.real, 2.0 * sine.real)
-        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j), near
-    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None, near
+        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j)
+    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None
 
 
 def _turned(values: list, low: int, units) -> list[complex]:
@@ -224,7 +228,7 @@ def _turned(values: list, low: int, units) -> list[complex]:
 
 
 def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m), at the capped lam of `_start`, by Olver's algorithm.
+    """F_low ... F_m (low <= m), at `_capped(lam)`, by Olver's algorithm.
 
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  From
     k = m on it stops once |h_m ... h_k|, the factor by which the neglected
@@ -239,7 +243,7 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     (rounded once), and the elimination stops at row max(1, m).  On the
     axes the sweep runs on the R_k of `_start`.
     """
-    f, (p, q), drive, units, _ = _start(lam)
+    f, (p, q), drive, units = _start(lam)
     alam = abs(lam)
     tol = 1e-17 ** 0.5 if a == 1 else 1e-17 * min(1.0, alam)
     rows = _rows(a, 1 << (m + 64).bit_length())  # up to |lam| = 40 the stop comes by row m + 64
@@ -287,10 +291,10 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
 
 
 def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m), at the capped lam of `_start`, by forward substitution from the exact
+    """F_low ... F_m (low <= m), at `_capped(lam)`, by forward substitution from the exact
     F_0 and F_1: F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k),
     run on R_k (`_start`)."""
-    f0, (p, q), drive, units, _ = _start(lam)
+    f0, (p, q), drive, units = _start(lam)
     f1 = (f0 - drive[0]) / p
     rows = _rows(a, 1 << m.bit_length())
     swept = [f0, f1]
@@ -322,8 +326,8 @@ def _checked(quantity: str, m, name: str, arg, evaluate) -> complex:
     """evaluate(m, arg) for an entry point called with degree m and a finite
     complex argument `name`.  A result that is not finite raises an
     `OverflowError` naming `quantity`, m and arg; so does an `OverflowError`
-    raised on the way, by an inner entry point or by math or cmath, as
-    `_uncapped`'s ldexp does for a product beyond the double range."""
+    raised on the way by math, cmath or ldexp, as `_uncapped`'s ldexp raises
+    for a product beyond the double range."""
     m, arg = as_degree(m), complex(arg)
     if not cmath.isfinite(arg):
         raise ValueError(f"{name} must be finite")
@@ -356,7 +360,7 @@ def legendre_hat(m: int, lam: complex) -> TransformResult:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary kernel and the integration-by-parts route
+# auxiliary kernel
 # ---------------------------------------------------------------------------
 
 
@@ -368,21 +372,3 @@ def exp_cos_sine_integral(m: int, z: complex) -> complex:
     """
     return _checked("kernel value", m, "z", z, lambda m, z: m * _sweep(2, m - 1, 1j * z, m - 1)[0] if m else 0j)
 
-
-def _via_kernel(m: int, lam: complex) -> complex:
-    if not lam:
-        raise ValueError("kernel route requires lam != 0")
-    sign = -1.0 if m % 2 else 1.0
-    kernel = exp_cos_sine_integral(m, -1j * lam)
-    # e^{+-i lam} and m * kernel may overflow before the division: divide first
-    w, plus, minus = 1.0 / (1j * lam), cmath.exp(0.5j * lam), cmath.exp(-0.5j * lam)
-    return plus * (plus * w) * sign - minus * (minus * w) + kernel * w * m
-
-
-def chebyshev_hat_via_kernel(m: int, lam: complex) -> complex:
-    """Chebyshev transform through the kernel route (integration by parts).
-
-    Uses the U_{m-1} ratios, not the Chebyshev ones; used to cross-check
-    `chebyshev_hat` on the closed-form regime.
-    """
-    return _checked("kernel route", m, "lam", lam, _via_kernel)
