@@ -150,7 +150,7 @@ def assemble_system(n_basis: int, points, dirichlet=dirichlet_hat) -> Collocatio
         except (OverflowError, ValueError):  # cmath's range error, or its domain error at an infinite 1/lam
             rhs[r] = math.nan  # marks the point as not finite for the check below
             break
-        # sweep only after the checks above: at lam = 1e-300 the z2 sweep raises a bare range error (`_uncapped`)
+        # sweep only after the checks above: at lam = 1e-300 the z2 sweep raises a bare range error (`_finished`)
         # a = 1: Legendre
         rows[r] = c1 * np.array(_sweep(1, n_basis - 1, z2, 0)) + c2 * np.array(_sweep(1, n_basis - 1, z1, 0))
         rhs[r] = f1 * d2 + f2 * d1

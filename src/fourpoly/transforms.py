@@ -18,8 +18,8 @@ p_m^(n-1)(1), c_1 = (-1)^m and each term is the one before it times
 
 over i lam.  Its terms grow until n ~ m^2/(2|lam|), so in doubles it cancels
 below |lam| ~ m^2/8 on the real axis and m^2/4 on the imaginary one.  All
-three work at `_capped(lam)`, |Im lam| capped at 700, and `_sweep` restores
-the rest (`_uncapped`); only values beyond doubles raise.
+three work at `_capped(lam)`, |Im lam| capped at 700, and `_sweep` puts
+e^{|Im lam| - 700} back on (`_finished`); only values beyond doubles raise.
 
 The recurrence comes from integrating by parts the derivative identity
 p_k = alpha_k p'_{k+1} - beta_k p'_{k-1}, with alpha_k = (k+a)/((k+1)(2k+a))
@@ -52,9 +52,10 @@ about a third of complex ones; the closed form is complex for every lam.  At
 lam = iy (or 0), i lam = -y, F_0 = 2 sinh(y)/y and the drive (2 cosh y,
 2 sinh y) are real, and so is every F_k.  At real lam = x, R_k = i^k F_k is
 real: R_k - x (alpha_k R_{k+1} + beta_k R_{k-1}) = d_k D_k, D_k = 2 cos x,
-2 sin x, -2 cos x, -2 sin x by k mod 4.  Each map is a product with +-1 or
-+-i, and complex arithmetic rounds the part beside an exact zero as float
-arithmetic does: the values equal the complex sweep's but for zero signs.
+2 sin x, -2 cos x, -2 sin x by k mod 4.  Each map back (`_finished`) is a
+product with +-1 or +-i, and complex arithmetic rounds the part beside an
+exact zero as float arithmetic does: the values equal the complex sweep's
+but for zero signs.
 
 The kernel K(m, z) = int_0^pi e^{z cos w} sin(mw) dw of the paper's
 integration-by-parts route to the Chebyshev transform is, with x = cos w,
@@ -76,7 +77,6 @@ from .coeffs import Family, as_degree, as_family, coefficient_table  # noqa: F40
 __all__ = [
     "EvalPath",
     "TransformResult",
-    "zero_lambda_value",
     "chebyshev_hat",
     "legendre_hat",
     "transform_hat",
@@ -103,18 +103,6 @@ class TransformResult(namedtuple("TransformResult", "value path")):
     """A transform value (complex) and the `EvalPath` of its regime."""
 
     __slots__ = ()
-
-
-def zero_lambda_value(family: Family | str, m: int):
-    """Exact transform value at lam = 0, as a `fractions.Fraction`; the checks' reference."""
-    from fractions import Fraction  # here, so that importing transforms does not load it
-
-    m = as_degree(m)
-    if as_family(family) is Family.LEGENDRE:
-        return Fraction(2) if m == 0 else Fraction(0)
-    if m == 1:
-        return Fraction(0)
-    return Fraction((-1) ** (m + 1) - 1, m * m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +167,13 @@ def _capped(lam: complex) -> complex:
     return complex(lam.real, math.copysign(700.0, lam.imag)) if abs(lam.imag) > 700.0 else lam
 
 
-def _uncapped(lam: complex, values: list[complex]) -> list[complex]:
-    """values, taken at `_capped(lam)`, times e^{|Im lam| - 700} as
+def _finished(lam: complex, values: list, low: int, units) -> list[complex]:
+    """F_low ... from values taken at `_capped(lam)`: R_low ... times the units
+    F_k / R_k of `_start` (None: all 1), then times e^{|Im lam| - 700} as
     e^r 2^k with r < ln 2: the factor, which overflows from |Im lam| = 1409.78
     on, is never formed, so only a product beyond the double range raises (ldexp)."""
+    if units is not None:
+        values = [units[k & 3] * v for k, v in enumerate(values, low)]
     excess = abs(lam.imag) - 700.0
     if excess <= 0.0:
         return values
@@ -208,27 +199,22 @@ def _rows(a: int, size: int) -> tuple[tuple[float, float, float], ...]:
 
 
 def _start(lam: complex) -> tuple:
-    """R_0 = F_0 (2 at lam = 0), (p, q) of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k,
+    """R_0 = F_0 (2 at lam = 0), p and q of R_k - p alpha_k R_{k+1} + q beta_k R_{k-1} = d_k D_k,
     D_k and F_k / R_k by k & 3 (None: all 1), all at `_capped(lam)`.
     Off the axes R_k = F_k, p = q = i lam, D_k = B_{k+1}; on them, floats."""
     near = _capped(lam)
     sine, cosine, z = cmath.sin(near), cmath.cos(near), 1j * lam
     if not lam.real:  # lam = iy, or 0: z = -y and F_k are real
         y, drive = lam.imag, (2.0 * cosine.real, 2.0 * sine.imag)
-        return drive[1] / y if y else 2.0, (z.real, z.real), drive * 2, (1 + 0j,) * 4
+        return drive[1] / y if y else 2.0, z.real, z.real, drive * 2, (1 + 0j,) * 4
     if not lam.imag:  # lam = x: R_k = i^k F_k is real
         x, drive = lam.real, (2.0 * cosine.real, 2.0 * sine.real)
-        return drive[1] / x, (x, -x), drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j)
-    return 2.0 * sine / lam, (z, z), (2.0 * cosine, -2j * sine) * 2, None
+        return drive[1] / x, x, -x, drive + (-drive[0], -drive[1]), (1 + 0j, -1j, -1 + 0j, 1j)
+    return 2.0 * sine / lam, z, z, (2.0 * cosine, -2j * sine) * 2, None
 
 
-def _turned(values: list, low: int, units) -> list[complex]:
-    """F_low ... from R_low ... (`values`) and the units F_k / R_k of `_start`."""
-    return values if units is None else [units[k & 3] * v for k, v in enumerate(values, low)]
-
-
-def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m), at `_capped(lam)`, by Olver's algorithm.
+def _recurrence(a: int, m: int, lam: complex, low: int, f, p, q, drive) -> list:
+    """R_low ... R_m (low <= m) by Olver's algorithm, from R_0 = f, p, q and the drive of `_start`.
 
     Forward elimination writes each row as F_k = g_k + h_k F_{k+1}.  From
     k = m on it stops once |h_m ... h_k|, the factor by which the neglected
@@ -240,10 +226,8 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
     |h_k| stays near 1 until k passes |lam|.  Back substitution from F_{k+1} = 0
     then yields F_m and every lower degree.
     At lam = 0, F_0 = 2 and every h_k is 0, so F_k = d_k B_{k+1} exactly
-    (rounded once), and the elimination stops at row max(1, m).  On the
-    axes the sweep runs on the R_k of `_start`.
+    (rounded once), and the elimination stops at row max(1, m).
     """
-    f, (p, q), drive, units = _start(lam)
     alam = abs(lam)
     tol = 1e-17 ** 0.5 if a == 1 else 1e-17 * min(1.0, alam)
     rows = _rows(a, 1 << (m + 64).bit_length())  # up to |lam| = 40 the stop comes by row m + 64
@@ -287,14 +271,12 @@ def _recurrence(a: int, m: int, lam: complex, low: int) -> list[complex]:
             f = gs[k] + h * f1
         f1, f2 = f, f1
         gs[k] = f  # g_k is not read again
-    return _turned(gs[low:m + 1], low, units)
+    return gs[low:m + 1]
 
 
-def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m), at `_capped(lam)`, by forward substitution from the exact
-    F_0 and F_1: F_{k+1} = (F_k - d_k B_{k+1} + i lam beta_k F_{k-1}) / (i lam alpha_k),
-    run on R_k (`_start`)."""
-    f0, (p, q), drive, units = _start(lam)
+def _forward(a: int, m: int, lam: complex, low: int, f0, p, q, drive) -> list:
+    """R_low ... R_m (low <= m) by forward substitution from the exact R_0 = f0 and R_1,
+    as `_recurrence`: R_{k+1} = (R_k - d_k D_k + q beta_k R_{k-1}) / (p alpha_k)."""
     f1 = (f0 - drive[0]) / p
     rows = _rows(a, 1 << m.bit_length())
     swept = [f0, f1]
@@ -302,7 +284,7 @@ def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
         alpha, beta, diff = rows[k]
         f0, f1 = f1, (f1 - diff * drive[k & 3] + q * beta * f0) / (p * alpha)
         swept.append(f1)
-    return _turned(swept[low:m + 1], low, units)
+    return swept[low:m + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +293,22 @@ def _forward(a: int, m: int, lam: complex, low: int) -> list[complex]:
 
 
 def _sweep(a: int, m: int, lam: complex, low: int) -> list[complex]:
-    """F_low ... F_m (low <= m) by the cheapest stable algorithm at (m, lam) (module docstring)."""
+    """F_low ... F_m (low <= m) by the cheapest stable algorithm at (m, lam) (module docstring);
+    it starts each degree sweep (`_start`) and finishes every value (`_finished`)."""
     alam = abs(lam)
     if (low == m and alam >= max(1, m, m * m / _CLOSED_FORM_REACH)
             and (closed := _closed_form(a, m, lam))[1] <= _CANCEL_LIMIT):
-        values = [closed[0]]
-    else:
-        forward = alam > m and m * m * abs(lam.imag) <= _FORWARD_GROWTH * alam * alam
-        values = (_forward if forward else _recurrence)(a, m, lam, low)
-    return _uncapped(lam, values)
+        return _finished(lam, [closed[0]], m, None)
+    *start, units = _start(lam)
+    forward = alam > m and m * m * abs(lam.imag) <= _FORWARD_GROWTH * alam * alam
+    return _finished(lam, (_forward if forward else _recurrence)(a, m, lam, low, *start), low, units)
 
 
 def _checked(quantity: str, m, name: str, arg, evaluate) -> complex:
     """evaluate(m, arg) for an entry point called with degree m and a finite
     complex argument `name`.  A result that is not finite raises an
     `OverflowError` naming `quantity`, m and arg; so does an `OverflowError`
-    raised on the way by math, cmath or ldexp, as `_uncapped`'s ldexp raises
+    raised on the way by math, cmath or ldexp, as `_finished`'s ldexp raises
     for a product beyond the double range."""
     m, arg = as_degree(m), complex(arg)
     if not cmath.isfinite(arg):

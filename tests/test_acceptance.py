@@ -12,9 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from fourpoly.checks import CheckResult, run_check
+from fourpoly.checks import CheckResult, run_check, zero_lambda_value
 from fourpoly.helmholtz import assemble_system, collocation_points, scale_system, solve
-from fourpoly.transforms import zero_lambda_value
 
 
 def _line(number: int, ok: bool, detail: str) -> None:

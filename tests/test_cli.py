@@ -124,7 +124,7 @@ def test_eval_at_degree_160_where_the_closed_form_overflows(capsys):
 ], ids=["olver-712i", "forward-20000", "closed-60", "closed-120i", "olver-22+3i", "chebyshev-zero-sign",
         "bessel-closed-1", "bessel-forward-30", "bessel-olver-22+3i"])
 def test_eval_and_bessel_print_exact_text(argv, text, capsys):
-    # the same strings as the numpy-free CI job; the chebyshev case pins the sign of an exact zero part
+    # the only copy of these strings; the chebyshev case pins the sign of an exact zero part
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == text + "\n"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fourpoly import helmholtz
+from fourpoly.checks import zero_lambda_value
 from fourpoly.coeffs import Family
 from fourpoly.helmholtz import (
     CollocationSystem,
@@ -24,7 +25,7 @@ from fourpoly.helmholtz import (
     solve,
 )
 from fourpoly.oracle import _recurrence_pair, gauss_legendre_rule
-from fourpoly.transforms import _sweep, legendre_hat, zero_lambda_value
+from fourpoly.transforms import _sweep, legendre_hat
 
 
 def legendre(l, x):

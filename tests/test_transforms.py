@@ -10,7 +10,7 @@ import pytest
 
 from fourpoly import transforms
 from fourpoly.bessel import bessel_half
-from fourpoly.checks import _memo_hat, _via_kernel, _worst, closed_grid, run_check
+from fourpoly.checks import _memo_hat, _via_kernel, _worst, closed_grid, run_check, zero_lambda_value
 from fourpoly.coeffs import Family, chebyshev_coeffs, coefficient_table, legendre_coeffs
 from fourpoly.helmholtz import collocation_points
 from fourpoly.oracle import quad_transform
@@ -20,7 +20,6 @@ from fourpoly.transforms import (
     exp_cos_sine_integral,
     legendre_hat,
     transform_hat,
-    zero_lambda_value,
     _closed_form,
     _sweep,
     closed_form_ratios,
@@ -67,8 +66,8 @@ def test_zero_lambda_check_reads_the_recurrence(monkeypatch):
     # lam = 0 rows are one ulp off fails the check
     recurrence = transforms._recurrence
 
-    def one_ulp_off(a, m, lam, low):
-        rows = recurrence(a, m, lam, low)
+    def one_ulp_off(a, m, lam, low, *start):
+        rows = recurrence(a, m, lam, low, *start)
         return [complex(math.nextafter(v.real, math.inf), v.imag) for v in rows] if lam == 0 else rows
 
     monkeypatch.setattr(transforms, "_recurrence", one_ulp_off)
@@ -421,7 +420,7 @@ def sweep_points():
     points (mu = 0 excluded), random complex mu with |mu| <= 100, real mu
     with 63 < |mu| <= 4000, where forward substitution serves the whole
     sweep to degree 63, and mu with 700 < |Im mu| <= 709 + ln |mu|, where
-    each F_k is finite only once `_uncapped` puts e^{|Im mu| - 700} back on:
+    each F_k is finite only once `_finished` puts e^{|Im mu| - 700} back on:
     forward substitution serves those with |mu| >= 63 sqrt(|Im mu|/2),
     Olver's algorithm the others."""
     points = [1j * (s + 1 / s) for lam in collocation_points(40) for s in (lam, -1j * lam, 1j * lam)]
@@ -462,12 +461,15 @@ def axis_points(seed, count=36):
 def test_axis_sweeps_are_real_up_to_the_unit_i_to_the_k(monkeypatch):
     # on the axes both sweeps run in floats and the closed form in complex
     # arithmetic: F_k is real at lam = iy and i^k F_k at real lam, exactly for
-    # all three algorithms, and each value comes back as a complex
+    # all three algorithms, and each value comes back as a complex; the sweeps
+    # return the float R_k, which only `_sweep` turns into F_k
     ran, closed = set(), []
     for name in ("_recurrence", "_forward"):
-        def recorded(a, m, lam, low, name=name, algorithm=getattr(transforms, name)):
+        def recorded(a, m, lam, low, *start, name=name, algorithm=getattr(transforms, name)):
             ran.add((name, lam.imag == 0))
-            return algorithm(a, m, lam, low)
+            swept = algorithm(a, m, lam, low, *start)
+            assert type(swept) is list and all(type(r) is float for r in swept), (name, a, m, lam, swept)
+            return swept
 
         monkeypatch.setattr(transforms, name, recorded)
 
@@ -495,7 +497,7 @@ def test_axis_sweeps_are_real_up_to_the_unit_i_to_the_k(monkeypatch):
             assert type(value) is complex, (a, m, lam)
             assert ((1, 1j, -1, -1j)[m % 4] * value if lam.imag == 0 else value).imag == 0.0, (a, m, lam, value)
             if ratio <= transforms._CANCEL_LIMIT:
-                value = transforms._uncapped(lam, [value])[0]
+                value = transforms._finished(lam, [value], m, None)[0]
                 assert abs(value - reference[m]) <= 1e-12 * abs(reference[m]), (a, m, lam)
     algorithms = ("_recurrence", "_forward", "_closed_form")
     assert ran == {(name, real) for name in algorithms for real in (True, False)}
@@ -622,7 +624,7 @@ def test_each_algorithm_meets_1e_12_from_half_to_fifty_times_the_degree():
 
 
 def test_closed_form_and_forward_substitution_serve_far_above_the_degree(monkeypatch):
-    def olver(a, m, lam, low):
+    def olver(a, m, lam, *args):
         raise AssertionError(f"Olver's algorithm ran at a={a}, m={m}, lam={lam}")
 
     monkeypatch.setattr(transforms, "_recurrence", olver)
